@@ -25,7 +25,6 @@ conservative.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -34,10 +33,8 @@ from .errors import InfeasibleFlowError
 from .flowmodel import (
     FlowAssignment,
     FlowNetwork,
-    check_feasible,
     iteration_bound,
     make_assignment,
-    objective_value,
     preprocess_degree,
 )
 from .pwl import POS_INF, PwlConvex, pointwise_diff, scaled_interpolation
@@ -106,32 +103,13 @@ def _apply_recipe(recipe: _Recipe, prev: dict[MessageKey, PwlConvex]) -> PwlConv
     return recipe.phi.add(combined.compose_affine(recipe.scale, recipe.shift))
 
 
-def update_round(
-    network: FlowNetwork, state: MessageState, threads: int = 1, normalize: bool = False
-) -> MessageState:
+def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     """One synchronous round: every message recomputed from the previous
-    table only.  The 2m computations are independent; with ``threads > 1``
-    they run on a pool and are merged in fixed order, so the result does
-    not depend on scheduling.
-
-    ``normalize`` re-anchors each new message at its minimum.  Estimates
-    and belief differences are unchanged, but absolute belief heights are
-    not preserved, so it is off by default and meant for memory
-    experiments (absolute message heights otherwise grow with the round
-    count)."""
-    recipes = _recipes(network)
+    table only."""
     prev = state.messages
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda r: _apply_recipe(r, prev), recipes))
-    else:
-        values = [_apply_recipe(r, prev) for r in recipes]
-    if normalize:
-        values = [
-            PwlConvex(v.breakpoints, v.slopes, (v.anchor[0], v.anchor[1] - v.min_value()))
-            for v in values
-        ]
-    return MessageState(state.round + 1, {r.key: v for r, v in zip(recipes, values)})
+    return MessageState(
+        state.round + 1, {r.key: _apply_recipe(r, prev) for r in _recipes(network)}
+    )
 
 
 def belief(network: FlowNetwork, state: MessageState, arc_id: int) -> PwlConvex:
@@ -154,16 +132,18 @@ def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:
     cannot have a unique optimum if this persists) are recorded in
     ``ties``.
     """
-    flows = {}
-    ties = []
-    for a in network.arcs:
-        b = belief(network, state, a.id)
-        z = b.argmin()
-        flows[a.id] = z
-        if b.evaluate(z + 1) == b.evaluate(z):
-            ties.append(a.id)
+    return _read_off(network, {a.id: belief(network, state, a.id) for a in network.arcs})
+
+
+def _read_off(network: FlowNetwork, beliefs: dict[int, PwlConvex]) -> FlowAssignment:
+    """Smallest belief minimizer per arc, packaged with its objective and
+    the arcs whose belief is flat at that minimizer."""
+    flows = {a.id: beliefs[a.id].argmin() for a in network.arcs}
     out = make_assignment(network, flows)
-    out.ties = tuple(ties)
+    out.ties = tuple(
+        aid for aid, z in flows.items()
+        if beliefs[aid].evaluate(z + 1) == beliefs[aid].evaluate(z)
+    )
     return out
 
 
@@ -196,7 +176,6 @@ class RunResult:
 
 def _merged_assignment(
     network: FlowNetwork,
-    reduced: FlowNetwork,
     fixed: dict[int, int],
     reduced_estimate: Optional[FlowAssignment],
 ) -> FlowAssignment:
@@ -214,8 +193,6 @@ def run(
     network: FlowNetwork,
     rounds: Optional[int] = None,
     patience: Optional[int] = None,
-    threads: int = 1,
-    normalize: bool = False,
     on_round: Optional[Callable[[FlowNetwork, MessageState], None]] = None,
     dump_sink: Optional[Callable[[dict], None]] = None,
 ) -> RunResult:
@@ -225,13 +202,14 @@ def run(
     under which the estimate equals the optimum whenever the optimum is
     unique.  ``patience`` enables an early exit once the estimate has been
     unchanged that many consecutive rounds; it is a heuristic (off by
-    default) and forfeits the guarantee.  ``normalize`` re-anchors messages
-    at zero each round (see :func:`update_round`).  Degree-1-forced flows
-    are merged back into the returned assignment.
+    default) and forfeits the guarantee.  Degree-1-forced flows are merged
+    back into the returned assignment.
     """
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     reduced, fixed = preprocess_degree(network)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, reduced, fixed, None)
+        assignment = _merged_assignment(network, fixed, None)
         if not assignment.feasible:
             raise InfeasibleFlowError("forced flows are not feasible")
         return RunResult(assignment, None, 0, 0, fixed)
@@ -240,10 +218,8 @@ def run(
     piece_totals = []
     last_flows = None
     streak = 0
-    executed = 0
     for _ in range(total):
-        state = update_round(reduced, state, threads=threads, normalize=normalize)
-        executed += 1
+        state = update_round(reduced, state)
         piece_totals.append(sum(m.piece_count for m in state.messages.values()))
         if on_round is not None:
             on_round(reduced, state)
@@ -257,8 +233,8 @@ def run(
                     break
             else:
                 last_flows, streak = flows, 0
-    assignment = _merged_assignment(network, reduced, fixed, estimate(reduced, state))
-    return RunResult(assignment, state, total, executed, fixed, piece_totals)
+    assignment = _merged_assignment(network, fixed, estimate(reduced, state))
+    return RunResult(assignment, state, total, len(piece_totals), fixed, piece_totals)
 
 
 def dump_round(state: MessageState) -> dict:
@@ -341,12 +317,7 @@ class _Advanced:
     alpha: Optional[dict[MessageKey, int]]  # per-period slope shift
 
 
-def _advance(
-    reduced: FlowNetwork,
-    target: int,
-    threads: int = 1,
-    max_distinct: Optional[int] = None,
-) -> _Advanced:
+def _advance(reduced: FlowNetwork, target: int) -> _Advanced:
     """Execute rounds until an affine-periodic orbit is verified, then
     reduce the remaining rounds modulo the period.
 
@@ -360,40 +331,30 @@ def _advance(
     state = init_messages(reduced)
     recipes = _recipes(reduced)
     seen: dict[tuple, list[tuple[int, tuple]]] = {}
-    executed = 0
-    t = 0
-    while t < target:
-        if max_distinct is None or len(seen) < max_distinct:
-            sig = _drift_signature(state)
-            tilts = _tilt_vector(state)
-            for prev_t, prev_tilts in seen.get(sig, ()):
-                period = t - prev_t
-                per_period = _invariant_tilt(recipes, prev_tilts, tilts)
-                if per_period is None:
-                    continue
-                remainder = (target - t) % period
-                for _ in range(remainder):
-                    state = update_round(reduced, state, threads=threads)
-                    executed += 1
-                exec_round = t + remainder
-                periods = (target - exec_round) // period
-                assert exec_round + periods * period == target
-                return _Advanced(
-                    MessageState(target, state.messages), executed, periods, per_period
-                )
-            bucket = seen.setdefault(sig, [])
-            bucket.append((t, tilts))
-            if len(bucket) > 64:  # matches use short periods; bound the scans
-                del bucket[0]
-        state = update_round(reduced, state, threads=threads)
-        executed += 1
-        t += 1
-    return _Advanced(MessageState(target, state.messages), executed, 0, None)
+    while state.round < target:
+        t = state.round
+        sig = _drift_signature(state)
+        tilts = _tilt_vector(state)
+        for prev_t, prev_tilts in seen.get(sig, ()):
+            period = t - prev_t
+            per_period = _invariant_tilt(recipes, prev_tilts, tilts)
+            if per_period is None:
+                continue
+            for _ in range((target - t) % period):
+                state = update_round(reduced, state)
+            periods = (target - state.round) // period
+            return _Advanced(
+                MessageState(target, state.messages), state.round, periods, per_period
+            )
+        bucket = seen.setdefault(sig, [])
+        bucket.append((t, tilts))
+        if len(bucket) > 64:  # matches use short periods; bound the scans
+            del bucket[0]
+        state = update_round(reduced, state)
+    return _Advanced(MessageState(target, state.messages), state.round, 0, None)
 
 
-def beliefs_at_round(
-    reduced: FlowNetwork, target: int, threads: int = 1
-) -> tuple[dict[int, PwlConvex], int]:
+def beliefs_at_round(reduced: FlowNetwork, target: int) -> tuple[dict[int, PwlConvex], int]:
     """Round-``target`` beliefs, each exact up to an additive constant.
 
     Uses the periodic-orbit shortcut when available: the two directed
@@ -402,7 +363,7 @@ def beliefs_at_round(
     round-``target`` belief up to a constant.  Everything downstream
     (minimizers, gap comparisons) only reads belief differences.
     """
-    adv = _advance(reduced, target, threads=threads)
+    adv = _advance(reduced, target)
     out = {}
     for a in reduced.arcs:
         b = belief(reduced, adv.state, a.id)
@@ -412,14 +373,6 @@ def beliefs_at_round(
             )
         out[a.id] = b
     return out, adv.executed
-
-
-def advance_to_round(
-    reduced: FlowNetwork, target: int, threads: int = 1
-) -> tuple[MessageState, int]:
-    """Backward-compatible wrapper returning the executed state only."""
-    adv = _advance(reduced, target, threads=threads)
-    return adv.state, adv.executed
 
 
 def gap_test(
@@ -433,20 +386,12 @@ def gap_test(
     vacuously).  Only belief differences are read, so beliefs known up to
     additive constants are fine.
     """
-    unique = True
-    flows = {}
-    ties = []
-    for a in reduced.arcs:
-        b = beliefs[a.id]
-        z = b.argmin()
-        flows[a.id] = z
-        here = b.evaluate(z)
-        if min(b.evaluate(z - 1), b.evaluate(z + 1)) <= threshold + here:
-            unique = False
-        if b.evaluate(z + 1) == here:
-            ties.append(a.id)
-    out = make_assignment(reduced, flows)
-    out.ties = tuple(ties)
+    out = _read_off(reduced, beliefs)
+    unique = all(
+        min(beliefs[aid].evaluate(z - 1), beliefs[aid].evaluate(z + 1))
+        > threshold + beliefs[aid].evaluate(z)
+        for aid, z in out.flows.items()
+    )
     return unique, out
 
 
@@ -458,34 +403,24 @@ class UniquenessResult:
     executed_rounds: int
 
 
-def detect_uniqueness(
-    network: FlowNetwork, threads: int = 1, fast: bool = True
-) -> UniquenessResult:
+def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
     """Decide whether the instance has a unique optimal flow.
 
     Runs the message recursion for the uniqueness round budget of the
     reduced instance and applies the belief gap test with threshold
     ``n * c_max``.  When unique, the accompanying estimate is the exact
     optimum and is returned merged with any degree-1-forced flows.
-    ``fast=False`` forces literal execution of every round.
     """
     reduced, fixed = preprocess_degree(network)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, reduced, fixed, None)
+        assignment = _merged_assignment(network, fixed, None)
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
-    if fast:
-        beliefs, executed = beliefs_at_round(reduced, total, threads=threads)
-    else:
-        state = init_messages(reduced)
-        for _ in range(total):
-            state = update_round(reduced, state, threads=threads)
-        executed = total
-        beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
+    beliefs, executed = beliefs_at_round(reduced, total)
     unique, reduced_assignment = gap_test(
         reduced, beliefs, reduced.n * reduced.c_max
     )
     assignment = None
     if unique:
-        assignment = _merged_assignment(network, reduced, fixed, reduced_assignment)
+        assignment = _merged_assignment(network, fixed, reduced_assignment)
     return UniquenessResult(unique, assignment, total, executed)

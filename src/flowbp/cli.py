@@ -3,10 +3,9 @@
 Subcommands: ``solve`` (message-passing solve of a DIMACS or JSON
 instance), ``check-unique`` (uniqueness detection from final beliefs),
 ``approx`` (randomized (1+eps)-approximation), ``gen`` (random instance
-generation), ``selftest`` (built-in oracle-equivalence suites) and
-``bench`` (round-throughput measurement).
+generation) and ``selftest`` (built-in oracle-equivalence suites).
 
-Reports are JSON on stdout, logs on stderr.  Exit codes: 0 success,
+Reports are JSON on stdout, errors on stderr.  Exit codes: 0 success,
 2 infeasible instance, 3 parse error, 4 restart budget exhausted,
 1 anything else (including usage errors).
 """
@@ -27,6 +26,7 @@ from .errors import (
     FlowBpError,
     ForcedInfeasibleError,
     InfeasibleInstanceError,
+    JsonInstanceError,
     NonZeroLowerBoundError,
     RestartBudgetExceededError,
     UsageError,
@@ -52,6 +52,7 @@ _PARSE_ERRORS = (
     DimacsSyntaxError,
     DimacsInconsistentError,
     NonZeroLowerBoundError,
+    JsonInstanceError,
     json.JSONDecodeError,
 )
 _INFEASIBLE_ERRORS = (InfeasibleInstanceError, ForcedInfeasibleError)
@@ -62,6 +63,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_OTHER)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _round_count(text: str):
+    return text if text == "auto" else _positive_int(text)
 
 
 def load_instance(path: str, fmt: str = "auto") -> FlowNetwork:
@@ -110,7 +125,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
     oracles.exact_solve(net)  # feasibility gate; raises when infeasible
-    rounds = None if args.iters == "auto" else int(args.iters)
+    rounds = None if args.iters == "auto" else args.iters
     dump_sink = None
     dump_file = None
     if args.dump_messages:
@@ -121,7 +136,6 @@ def cmd_solve(args) -> int:
             net,
             rounds=rounds,
             patience=args.patience,
-            threads=args.threads,
             dump_sink=dump_sink,
         )
     finally:
@@ -149,7 +163,7 @@ def cmd_check_unique(args) -> int:
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
     oracles.exact_solve(net)
-    res = bp_engine.detect_uniqueness(net, threads=args.threads)
+    res = bp_engine.detect_uniqueness(net)
     report = _base_report("check-unique", net)
     report.update(
         rounds_used=res.rounds_used,
@@ -176,7 +190,7 @@ def cmd_approx(args) -> int:
     if not 0 < eps < 1:
         raise UsageError("epsilon must lie strictly between 0 and 1")
     seed = _seed_from(args)
-    res = fpras.approx_scheme(net, eps, seed, threads=args.threads)
+    res = fpras.approx_scheme(net, eps, seed)
     report = _base_report("approx", net)
     report.update(
         epsilon=str(eps),
@@ -217,27 +231,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    net = gen.random_network(
-        _seed_from(args), n=args.nodes, m=args.arcs, c_max=args.cmax, cap_max=args.capmax
-    )
-    t0 = time.perf_counter()
-    result = bp_engine.run(net, rounds=args.iters, threads=args.threads)
-    dt = time.perf_counter() - t0
-    report = _base_report("bench", net)
-    report.update(
-        rounds_used=result.rounds_used,
-        rounds_per_s=round(result.executed_rounds / dt, 1) if dt > 0 else None,
-        piece_stats={
-            "per_round_total": result.piece_totals,
-            "max_round_total": max(result.piece_totals, default=0),
-        },
-        wall_time_s=round(dt, 6),
-    )
-    _emit(report)
-    return EXIT_OK
-
-
 def cmd_selftest(args) -> int:
     from . import selftest
 
@@ -258,12 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(sp):
         sp.add_argument("--input", required=True, help="instance file (DIMACS or JSON)")
         sp.add_argument("--format", choices=("auto", "dimacs", "json"), default="auto")
-        sp.add_argument("--threads", type=int, default=1, help="worker cap for message rounds")
+        sp.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility and ignored; rounds run single-threaded")
 
     sp = sub.add_parser("solve", help="solve by message passing")
     add_io(sp)
-    sp.add_argument("--iters", default="auto", help="round count, or 'auto' for the guarantee bound")
-    sp.add_argument("--patience", type=int, default=None,
+    sp.add_argument("--iters", type=_round_count, default="auto",
+                    help="round count >= 1, or 'auto' for the guarantee bound")
+    sp.add_argument("--patience", type=_positive_int, default=None,
                     help="heuristic early exit after this many unchanged estimates")
     sp.add_argument("--dump-messages", metavar="PATH",
                     help="write per-round message tables as JSON lines")
@@ -297,15 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quick", action="store_true", help="subset that finishes in seconds")
     sp.set_defaults(func=cmd_selftest)
 
-    sp = sub.add_parser("bench", help="measure round throughput on a generated instance")
-    sp.add_argument("--nodes", type=int, default=6)
-    sp.add_argument("--arcs", type=int, default=10)
-    sp.add_argument("--cmax", type=int, default=5)
-    sp.add_argument("--capmax", type=int, default=4)
-    sp.add_argument("--iters", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.set_defaults(func=cmd_bench)
     return p
 
 

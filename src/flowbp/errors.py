@@ -9,6 +9,11 @@ class FlowBpError(Exception):
     """Base class for all flowbp errors."""
 
 
+class ResultCheckError(FlowBpError):
+    """A computed result failed its own consistency check (a bug in
+    flowbp, never a property of the input)."""
+
+
 # ---------------------------------------------------------------------------
 # Piecewise-linear function algebra
 
@@ -59,6 +64,10 @@ class DimacsSyntaxError(FlowBpError):
 
 class DimacsInconsistentError(FlowBpError):
     """DIMACS header counts disagree with the body."""
+
+
+class JsonInstanceError(FlowBpError):
+    """A JSON instance lacks a field or holds a value of the wrong type."""
 
 
 class NonZeroLowerBoundError(FlowBpError):

@@ -13,9 +13,8 @@ Parallel arcs are permitted and are distinguished by arc id everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     BadCostDomainError,
@@ -24,6 +23,7 @@ from .errors import (
     DimacsSyntaxError,
     ForcedInfeasibleError,
     InfeasibleFlowError,
+    JsonInstanceError,
     NegativeCapacityError,
     NonZeroLowerBoundError,
     SelfLoopError,
@@ -329,14 +329,37 @@ def network_to_json_dict(network: FlowNetwork) -> dict:
     }
 
 
+def _field(obj, key: str, kinds: tuple, where: str):
+    """``obj[key]``, checked to exist and to be one of ``kinds`` (never a bool)."""
+    if not isinstance(obj, dict):
+        raise JsonInstanceError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise JsonInstanceError(f"{where} lacks {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise JsonInstanceError(f"{where} {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def network_from_json_dict(d: dict) -> FlowNetwork:
-    demands = {nd["id"]: nd["demand"] for nd in d["nodes"]}
+    """Read the canonical JSON form; a missing or mistyped field raises
+    :class:`JsonInstanceError`."""
+    demands = {
+        _field(nd, "id", (int,), "node"): _field(nd, "demand", (int,), "node")
+        for nd in _field(d, "nodes", (list,), "instance")
+    }
     specs = []
-    for ad in d["arcs"]:
-        cost = ad["cost"]
+    for ad in _field(d, "arcs", (list,), "instance"):
+        aid, tail, head = (_field(ad, k, (int,), "arc") for k in ("id", "tail", "head"))
+        capacity = _field(ad, "capacity", (int, type(None)), "arc")
+        cost = _field(ad, "cost", (int, dict), "arc")
         if isinstance(cost, dict):
+            for k in ("breakpoints", "slopes", "anchor"):
+                _field(cost, k, (list,), "arc cost")
+            if len(cost["anchor"]) != 2:
+                raise JsonInstanceError(f"arc cost anchor {cost['anchor']!r} is not a pair")
             cost = PwlConvex.from_json_dict(cost)
-        specs.append((ad["id"], ad["tail"], ad["head"], ad["capacity"], cost))
+        specs.append((aid, tail, head, capacity, cost))
     return FlowNetwork.from_data(demands, specs)
 
 

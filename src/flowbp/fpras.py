@@ -27,6 +27,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from .bp_engine import belief, gap_test, init_messages, update_round
 from .errors import (
     RestartBudgetExceededError,
+    ResultCheckError,
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
@@ -113,11 +114,12 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     arcs = []
     for a in network.arcs:
         scaled = 4 * m * math.floor(Fraction(slopes[a.id]) / t) + noise[a.id]
-        assert scaled >= 1
-        assert abs(scaled - Fraction(4 * m * slopes[a.id]) / t) <= 4 * m
+        if scaled < 1 or abs(scaled - Fraction(4 * m * slopes[a.id]) / t) > 4 * m:
+            raise ResultCheckError(f"scaled cost {scaled} of arc {a.id} is off its grid")
         arcs.append(Arc(a.id, a.tail, a.head, a.capacity, linear_cost(scaled, a.capacity)))
     perturbed = FlowNetwork(network.demands, arcs)
-    assert perturbed.c_max <= 4 * m * math.floor(Fraction(network.c_max) / t) + 4 * m
+    if perturbed.c_max > 4 * m * math.floor(Fraction(network.c_max) / t) + 4 * m:
+        raise ResultCheckError(f"perturbed c_max {perturbed.c_max} exceeds its bound")
     return PerturbedInstance(
         network, perturbed, t, noise, (ss.entropy, tuple(ss.spawn_key))
     )
@@ -128,9 +130,16 @@ def _cycle_gap(network: FlowNetwork, flows: dict[int, int]):
     return min_cycle_cost(residual_graph(network, flows))
 
 
-def _decide_perturbed(
-    pn: FlowNetwork, threads: int, probe_cap: int = PROBE_CAP
-) -> tuple[bool, Optional[dict[int, int]], int]:
+def _oracle_gap(pn: FlowNetwork) -> tuple[dict[int, int], object]:
+    """The reference optimum and its residual-cycle gap."""
+    flows = exact_solve(pn).flows
+    gap = _cycle_gap(pn, flows)
+    if gap is NEGATIVE_CYCLE:
+        raise ResultCheckError("the reference optimum admits a negative residual cycle")
+    return flows, gap
+
+
+def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], int]:
     """The outcome the full-length gap-test run would produce, exactly.
 
     The nominal schedule runs ``2 * c_max * n^2`` rounds and applies the
@@ -163,7 +172,7 @@ def _decide_perturbed(
     probe = 8
     while True:
         while t < probe:
-            state = update_round(reduced, state, threads=threads)
+            state = update_round(reduced, state)
             t += 1
         beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
         cand_unique, est = gap_test(reduced, beliefs, threshold)
@@ -177,24 +186,18 @@ def _decide_perturbed(
                     return False, None, t  # optimal but tied
         else:
             if oracle_gap is None:
-                sol = exact_solve(pn)
-                oracle_flows = sol.flows
-                oracle_gap = _cycle_gap(pn, oracle_flows)
-                assert oracle_gap is not NEGATIVE_CYCLE
+                oracle_flows, oracle_gap = _oracle_gap(pn)
             if oracle_gap is not NO_CYCLE and oracle_gap == 0:
                 return False, None, t
             # the optimum is unique; the recursion just has not separated
             # the beliefs yet, so keep going
-        if t >= probe_cap:
+        if t >= PROBE_CAP:
             if oracle_gap is None:
-                sol = exact_solve(pn)
-                oracle_flows = sol.flows
-                oracle_gap = _cycle_gap(pn, oracle_flows)
-                assert oracle_gap is not NEGATIVE_CYCLE
+                oracle_flows, oracle_gap = _oracle_gap(pn)
             if oracle_gap is NO_CYCLE or oracle_gap > 0:
                 return True, dict(oracle_flows), t
             return False, None, t
-        probe = min(probe * 2, probe_cap)
+        probe = min(probe * 2, PROBE_CAP)
 
 
 @dataclass
@@ -213,7 +216,6 @@ def aprxmt(
     eps,
     seed: SeedLike,
     restart_budget: int = RESTART_BUDGET,
-    threads: int = 1,
 ) -> AprxmtResult:
     """Perturb, solve, certify uniqueness; redraw until certain.
 
@@ -229,10 +231,11 @@ def aprxmt(
         pert = perturb_costs(network, eps, _seed_seq(seed, (attempt,)))
         pn = pert.network
         rounds = 2 * pn.c_max * pn.n * pn.n
-        unique, flows, executed = _decide_perturbed(pn, threads)
+        unique, flows, executed = _decide_perturbed(pn)
         if unique:
             out = make_assignment(network, flows)
-            assert out.feasible
+            if not out.feasible:
+                raise ResultCheckError("the certified perturbed optimum is infeasible")
             return AprxmtResult(out, pert, attempt, rounds, executed)
     raise RestartBudgetExceededError(
         f"no unique perturbed optimum in {restart_budget} draws"
@@ -293,7 +296,6 @@ def approx_scheme(
     eps,
     seed: SeedLike,
     restart_budget: int = RESTART_BUDGET,
-    threads: int = 1,
 ) -> ApproxResult:
     """The full decimation loop: (1+eps)-approximation for any feasible
     integral instance.
@@ -321,8 +323,7 @@ def approx_scheme(
             sol = exact_solve(reduced)
             fixed_total.update(sol.flows)
             break
-        res = aprxmt(reduced, eps, _seed_seq(seed, (index,)),
-                     restart_budget=restart_budget, threads=threads)
+        res = aprxmt(reduced, eps, _seed_seq(seed, (index,)), restart_budget=restart_budget)
         target = max(reduced.arcs, key=lambda a: (reduced.linear_slope(a), -a.id))
         value = res.assignment.flows[target.id]
         fixed_total[target.id] = value
@@ -343,5 +344,6 @@ def approx_scheme(
         current = fix_arc(reduced, target.id, value)
         index += 1
     assignment = make_assignment(network, fixed_total)
-    assert assignment.feasible, "decimation produced an infeasible assembly"
+    if not assignment.feasible:
+        raise ResultCheckError("decimation produced an infeasible assembly")
     return ApproxResult(assignment, logs)

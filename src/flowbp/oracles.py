@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceededError,
     InfeasibleInstanceError,
     NotOptimalError,
+    ResultCheckError,
     SizeBudgetError,
     UnboundedObjectiveError,
 )
@@ -89,18 +90,11 @@ def exact_solve(network: FlowNetwork) -> FlowAssignment:
             for (aid, _piece), x in keyed.items():
                 flows[aid] += x
     out = make_assignment(network, flows)
-    assert out.feasible and out.objective == nx_cost + base
+    if not out.feasible or out.objective != nx_cost + base:
+        raise ResultCheckError(
+            f"network simplex flow is infeasible or misses its objective {nx_cost + base}"
+        )
     return out
-
-
-def is_feasible(network: FlowNetwork) -> bool:
-    try:
-        exact_solve(network)
-    except InfeasibleInstanceError:
-        return False
-    except UnboundedObjectiveError:
-        return True
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ pieces of ``f`` and ``g`` stitched together in slope order.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     AnchorOutOfDomainError,
@@ -259,18 +260,7 @@ class PwlConvex:
         hi = min(self.breakpoints[-1], other.breakpoints[-1])
         if lo > hi:
             raise EmptyDomainError("domains do not intersect")
-        if lo == hi:
-            return PwlConvex.point(lo, self.evaluate(lo) + other.evaluate(lo))
-        interior = sorted(
-            {b for b in self.breakpoints + other.breakpoints if _is_int(b) and lo < b < hi}
-        )
-        bks = [lo, *interior, hi]
-        sls = [self.right_derivative(b) + other.right_derivative(b) for b in bks[:-1]]
-        for b in bks:
-            if _is_int(b):
-                return PwlConvex(bks, sls, (b, self.evaluate(b) + other.evaluate(b)))
-        # Both operands are single pieces on all of R.
-        return PwlConvex(bks, sls, (0, self.evaluate(0) + other.evaluate(0)))
+        return _pointwise(operator.add, self, other, lo, hi)
 
     __add__ = add
 
@@ -296,10 +286,6 @@ class PwlConvex:
         )
         sls = tuple(-s for s in reversed(self.slopes))
         return PwlConvex(bks, sls, (b - z0, v0))
-
-    def shift_x(self, d: int) -> "PwlConvex":
-        """Translate the graph right by ``d``: ``z -> f(z - d)``."""
-        return self.compose_affine(1, -d)
 
     def tilt(self, slope: int) -> "PwlConvex":
         """The exact sum ``f(z) + slope * z`` (every piece slope shifts)."""
@@ -375,14 +361,6 @@ class PwlConvex:
 
         return cls([dec(b) for b in d["breakpoints"]], d["slopes"], tuple(d["anchor"]))
 
-    def shape_key(self):
-        """Identity of the function modulo an additive constant.
-
-        Breakpoints and slopes determine a piecewise-linear convex function
-        up to one constant, which is exactly the anchor value.
-        """
-        return self.breakpoints, self.slopes
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PwlConvex):
             return NotImplemented
@@ -399,33 +377,20 @@ class PwlConvex:
         return f"PwlConvex(breakpoints={self.breakpoints}, slopes={self.slopes}, anchor={self.anchor})"
 
 
-def _merge_desc(a: list, b: list) -> list:
-    """Merge two slope-descending piece lists into one."""
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        if a[i][0] >= b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+def _pointwise(op, f: PwlConvex, g: PwlConvex, lo: Extended, hi: Extended) -> PwlConvex:
+    """``op(f, g)`` pointwise on ``[lo, hi]``, where both are finite.
 
-
-def _merge_asc(a: list, b: list) -> list:
-    out, i, j = [], 0, 0
-    while i < len(a) and j < len(b):
-        if a[i][0] <= b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    ``op`` is ``operator.add`` or ``operator.sub``; it combines the slopes
+    on the union of the operands' breakpoints and the anchor heights.
+    """
+    if lo == hi:
+        return PwlConvex.point(lo, op(f.evaluate(lo), g.evaluate(lo)))
+    interior = sorted({b for b in f.breakpoints + g.breakpoints if _is_int(b) and lo < b < hi})
+    bks = [lo, *interior, hi]
+    sls = [op(f.right_derivative(b), g.right_derivative(b)) for b in bks[:-1]]
+    # 0 anchors two single pieces on all of R
+    z = next((b for b in bks if _is_int(b)), 0)
+    return PwlConvex(bks, sls, (z, op(f.evaluate(z), g.evaluate(z))))
 
 
 def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
@@ -461,14 +426,14 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     bks: list[Extended] = [t0]
     sls: list[int] = []
     cur: Extended = t0
-    for s, length in _merge_desc(f_left, g_left):
+    for s, length in sorted(f_left + g_left, key=operator.itemgetter(0), reverse=True):
         cur = NEG_INF if length == POS_INF else cur - length
         bks.insert(0, cur)
         sls.insert(0, s)
         if cur == NEG_INF:
             break
     cur = t0
-    for s, length in _merge_asc(f_right, g_right):
+    for s, length in sorted(f_right + g_right, key=operator.itemgetter(0)):
         cur = POS_INF if length == POS_INF else cur + length
         bks.append(cur)
         sls.append(s)
@@ -507,21 +472,4 @@ def pointwise_diff(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     """
     if g.breakpoints[0] > f.breakpoints[0] or g.breakpoints[-1] < f.breakpoints[-1]:
         raise EmptyDomainError("subtrahend is not finite on the minuend's domain")
-    lo, hi = f.breakpoints[0], f.breakpoints[-1]
-    if lo == hi:
-        return PwlConvex.point(lo, f.evaluate(lo) - g.evaluate(lo))
-    interior = sorted(
-        {b for b in f.breakpoints + g.breakpoints if _is_int(b) and lo < b < hi}
-    )
-    bks = [lo, *interior, hi]
-    sls = [f.right_derivative(b) - g.right_derivative(b) for b in bks[:-1]]
-    for b in bks:
-        if _is_int(b):
-            return PwlConvex(bks, sls, (b, f.evaluate(b) - g.evaluate(b)))
-    return PwlConvex(bks, sls, (0, f.evaluate(0) - g.evaluate(0)))
-
-
-def grid_points(lo: int, hi: int, per_unit: int = 1) -> Iterable[Fraction]:
-    """Rational grid ``lo, lo + 1/per_unit, ..., hi`` (test-oracle helper)."""
-    for i in range((hi - lo) * per_unit + 1):
-        yield Fraction(lo) + Fraction(i, per_unit)
+    return _pointwise(operator.sub, f, g, f.breakpoints[0], f.breakpoints[-1])

@@ -70,6 +70,82 @@ def test_solve_parse_error_exit_code(capsys, tmp_path):
     assert report["error"]["kind"] == "parse"
 
 
+def _drop(*path):
+    def edit(d):
+        *outer, last = path
+        for k in outer:
+            d = d[k]
+        del d[last]
+    return edit
+
+
+def _set(value, *path):
+    def edit(d):
+        *outer, last = path
+        for k in outer:
+            d = d[k]
+        d[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: [d],
+        lambda d: 3,
+        _drop("nodes"),
+        _set({}, "nodes"),
+        _set([1], "nodes"),
+        _drop("nodes", 0, "id"),
+        _set("1", "nodes", 0, "id"),
+        _drop("nodes", 0, "demand"),
+        _set(True, "nodes", 0, "demand"),
+        _set(1.5, "nodes", 0, "demand"),
+        _drop("arcs"),
+        _set(None, "arcs"),
+        _drop("arcs", 0, "id"),
+        _drop("arcs", 0, "tail"),
+        _set("2", "arcs", 0, "head"),
+        _drop("arcs", 0, "capacity"),
+        _set(2.5, "arcs", 0, "capacity"),
+        _set("2", "arcs", 0, "capacity"),
+        _drop("arcs", 0, "cost"),
+        _set("1", "arcs", 0, "cost"),
+        _set({"breakpoints": [0, 2], "anchor": [0, 0]}, "arcs", 0, "cost"),
+        _set({"breakpoints": [0, 2], "slopes": [1], "anchor": [0]}, "arcs", 0, "cost"),
+    ],
+)
+def test_malformed_json_instance_is_parse_error(capsys, tmp_path, edit):
+    d = network_to_json_dict(t1_network())
+    d = edit(d) or d
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    code, report = run_cli(capsys, "solve", "--input", str(p))
+    assert code == 3
+    assert report["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--iters", "0"],
+        ["solve", "--iters", "-5"],
+        ["solve", "--iters", "1.5"],
+        ["solve", "--patience", "0"],
+        ["solve", "--threads", "-3"],
+        ["check-unique", "--threads", "0"],
+        ["approx", "--epsilon", "1/2", "--threads", "-3"],
+    ],
+)
+def test_bad_numeric_flag_is_usage_error(capsys, t1_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--input", t1_file])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= 1" in captured.err
+
+
 def test_solve_json_instance(capsys, tmp_path):
     p = tmp_path / "t1.json"
     p.write_text(json.dumps(network_to_json_dict(t1_network())))
@@ -185,13 +261,6 @@ def test_gen_pwl_costs_emit_json(capsys):
     code = cli.main(["gen", "--nodes", "4", "--arcs", "6", "--seed", "4",
                      "--cost-pieces", "3", "--capmax", "4"])
     assert code == 0
-
-
-def test_bench_smoke(capsys):
-    code, report = run_cli(capsys, "bench", "--nodes", "4", "--arcs", "6", "--iters", "20",
-                           "--seed", "1")
-    assert code == 0
-    assert report["rounds_used"] == 20
 
 
 def test_selftest_quick(capsys):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from flowbp import fpras
 from flowbp.errors import (
     RestartBudgetExceededError,
+    ResultCheckError,
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
-from flowbp.flowmodel import FlowNetwork, preprocess_degree
+from flowbp.flowmodel import FlowAssignment, FlowNetwork, preprocess_degree
 from flowbp.fpras import (
     PerturbedInstance,
     approx_scheme,
@@ -145,6 +147,28 @@ def test_approx_scheme_zero_costs():
     res = approx_scheme(net, Fraction(1, 2), seed=1)
     assert res.assignment.objective == 0
     assert res.assignment.feasible
+
+
+def test_approx_scheme_rejects_infeasible_assembly(monkeypatch):
+    # zero-cost leftovers take the reference solver's flow; an infeasible
+    # one must raise, not be reported
+    net = FlowNetwork.from_data(
+        {1: 1, 2: 0, 3: -1},
+        [(1, 1, 2, 2, 0), (2, 2, 3, 2, 0), (3, 1, 3, 2, 0)],
+    )
+    monkeypatch.setattr(
+        fpras, "exact_solve", lambda n: FlowAssignment({a.id: 0 for a in n.arcs}, 0)
+    )
+    with pytest.raises(ResultCheckError):
+        approx_scheme(net, Fraction(1, 2), seed=1)
+
+
+def test_aprxmt_rejects_infeasible_certificate(monkeypatch):
+    monkeypatch.setattr(
+        fpras, "_decide_perturbed", lambda pn: (True, {a.id: 0 for a in pn.arcs}, 0)
+    )
+    with pytest.raises(ResultCheckError):
+        aprxmt(t1_network(), Fraction(1, 2), seed=1)
 
 
 def test_approx_scheme_reproducible():

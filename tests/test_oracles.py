@@ -4,9 +4,11 @@ from flowbp.errors import (
     BudgetExceededError,
     InfeasibleInstanceError,
     NotOptimalError,
+    ResultCheckError,
     SizeBudgetError,
 )
 from flowbp.flowmodel import FlowNetwork, UNBOUNDED, preprocess_degree, objective_value
+from flowbp import oracles
 from flowbp.gen import random_network
 from flowbp.oracles import (
     build_tree,
@@ -25,6 +27,16 @@ def test_exact_solve_t1():
     assert out.flows == {1: 1, 2: 1, 3: 0}
     assert out.objective == 2
     assert out.feasible
+
+
+def test_exact_solve_cross_check_raises(monkeypatch):
+    # the objective cross-check must hold under python -O too
+    simplex = oracles.nx.network_simplex
+    monkeypatch.setattr(
+        oracles.nx, "network_simplex", lambda G: (simplex(G)[0] + 1, simplex(G)[1])
+    )
+    with pytest.raises(ResultCheckError):
+        exact_solve(t1_network())
 
 
 def test_exact_solve_t1_triple_supply():
