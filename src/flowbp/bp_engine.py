@@ -8,6 +8,13 @@ constraint (a signed infimal convolution), re-parametrized to the arc's own
 flow, and the arc's own cost is added.  All messages are exact
 piecewise-linear convex functions, so rounds are pure integer algebra.
 
+A node's outgoing messages share one prefix/suffix convolution pass: its
+incoming messages are reflected into one orientation once, and the
+combination that leaves out arc ``i`` is ``prefix[i-1] # suffix[i+1]``.
+That costs about ``3 * deg`` convolutions per node rather than
+``deg * (deg - 1)``, with identical results, because the infimal
+convolution is associative and commutative and ``PwlConvex`` is canonical.
+
 The per-arc belief combines the two directed messages and subtracts the arc
 cost once (each directed message already includes it); its minimizer is the
 flow estimate.  On integral instances with a unique optimum the estimate is
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .errors import InfeasibleFlowError
@@ -37,7 +45,7 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, PwlConvex, pointwise_diff, scaled_interpolation
+from .pwl import POS_INF, PwlConvex, inf_convolve2, pointwise_diff
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 
@@ -59,31 +67,33 @@ class _Recipe:
     phi: PwlConvex
     scale: int  # -delta(w, e) where w is the far endpoint
     shift: int  # demand at the far endpoint
+    far: int  # the far endpoint w
+    slot: int  # position of the arc in network.incident[w]
     sources: tuple[MessageKey, ...]
     signs: tuple[int, ...]
 
 
-@lru_cache(maxsize=128)
+# Callers step one network at a time and every CLI call parses a fresh
+# one, so a larger cache only keeps dead networks and their recipes alive.
+@lru_cache(maxsize=4)
 def _recipes(network: FlowNetwork) -> tuple[_Recipe, ...]:
     out = []
     for a in network.arcs:
         for to_end, far_end in ((a.tail, a.head), (a.head, a.tail)):
             far_delta = a.delta(far_end)
-            sources = []
-            signs = []
-            for other, delta in network.incident[far_end]:
-                if other.id == a.id:
-                    continue
-                sources.append((other.id, far_end))
-                signs.append(delta)
+            incident = network.incident[far_end]
+            slot = next(i for i, (other, _) in enumerate(incident) if other.id == a.id)
+            others = incident[:slot] + incident[slot + 1:]
             out.append(
                 _Recipe(
                     key=(a.id, to_end),
                     phi=a.cost,
                     scale=-far_delta,
                     shift=network.demands[far_end],
-                    sources=tuple(sources),
-                    signs=tuple(signs),
+                    far=far_end,
+                    slot=slot,
+                    sources=tuple((other.id, far_end) for other, _ in others),
+                    signs=tuple(delta for _, delta in others),
                 )
             )
     return tuple(out)
@@ -96,19 +106,42 @@ def init_messages(network: FlowNetwork) -> MessageState:
     return MessageState(0, table)
 
 
-def _apply_recipe(recipe: _Recipe, prev: dict[MessageKey, PwlConvex]) -> PwlConvex:
-    combined = scaled_interpolation(
-        [prev[k] for k in recipe.sources], list(recipe.signs)
-    )
-    return recipe.phi.add(combined.compose_affine(recipe.scale, recipe.shift))
+def _leave_one_out(fs: list[PwlConvex]) -> list[PwlConvex]:
+    """``out[i]`` is the infimal convolution of every ``fs[j]`` with ``j != i``.
+
+    Prefix and suffix chains share the work: ``3 * (d - 2)`` convolutions
+    for ``d`` operands instead of ``d * (d - 2)``.
+    """
+    if len(fs) < 2:
+        raise ValueError("a degree-1 node has no other messages; preprocess it away first")
+    prefix = list(accumulate(fs[:-1], inf_convolve2))  # fs[0] # ... # fs[i]
+    suffix = list(accumulate(reversed(fs[1:]), inf_convolve2))[::-1]  # fs[i+1] # ... # fs[-1]
+    return [suffix[0], *map(inf_convolve2, prefix, suffix[1:]), prefix[-1]]
 
 
 def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     """One synchronous round: every message recomputed from the previous
-    table only."""
+    table only.
+
+    At each node w, every incoming message is reflected once where
+    ``delta(w, e) = -1``, so the conservation constraint becomes a plain
+    sum, and the leave-one-out combinations of all of w's arcs come from
+    one prefix/suffix pass.
+    """
     prev = state.messages
+    combined = {
+        w: _leave_one_out(
+            [prev[(e.id, w)] if d == 1 else prev[(e.id, w)].compose_affine(-1, 0) for e, d in inc]
+        )
+        for w, inc in network.incident.items()
+        if inc
+    }
     return MessageState(
-        state.round + 1, {r.key: _apply_recipe(r, prev) for r in _recipes(network)}
+        state.round + 1,
+        {
+            r.key: r.phi.add(combined[r.far][r.slot].compose_affine(r.scale, r.shift))
+            for r in _recipes(network)
+        },
     )
 
 
@@ -359,7 +392,7 @@ def beliefs_at_round(reduced: FlowNetwork, target: int) -> tuple[dict[int, PwlCo
 
     Uses the periodic-orbit shortcut when available: the two directed
     offsets of an arc add up inside its belief, so the executed belief
-    plус ``periods * (alpha_tail + alpha_head)`` extra slope is the
+    plus ``periods * (alpha_tail + alpha_head)`` extra slope is the
     round-``target`` belief up to a constant.  Everything downstream
     (minimizers, gap comparisons) only reads belief differences.
     """

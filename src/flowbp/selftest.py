@@ -4,7 +4,9 @@ Each suite exercises one correctness contract against an independent
 reference: grid minimization for the function algebra, exhaustive
 enumeration and the exact solver for flows, the computation-tree dynamic
 program for beliefs, and the residual-cycle criterion for uniqueness.
-Everything is seeded, so a pass/fail outcome is reproducible.
+Everything is seeded, so a pass/fail outcome is reproducible.  Checks
+raise explicitly rather than using ``assert``, so they still run under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from fractions import Fraction
 from . import bp_engine, fpras, gen, oracles
 from .flowmodel import FlowNetwork, preprocess_degree
 from .pwl import POS_INF, PwlConvex, inf_convolve2
+
+
+def _check(cond, detail) -> None:
+    if not cond:
+        raise AssertionError(detail)
 
 
 def _t1(c3: int = 3) -> FlowNetwork:
@@ -51,7 +58,7 @@ def _suite_pwl_grid(quick: bool) -> str:
                 b = g.evaluate(t - x)
                 if b != POS_INF and a + b < best:
                     best = a + b
-            assert h.evaluate(t) == best, (f, g, t)
+            _check(h.evaluate(t) == best, (f, g, t))
             checks += 1
     return f"{pairs} convolutions, {checks} grid points"
 
@@ -59,11 +66,11 @@ def _suite_pwl_grid(quick: bool) -> str:
 def _suite_t1(quick: bool) -> str:
     net = _t1()
     flows = oracles.enumerate_integral_flows(net)
-    assert [fa.flows for fa in flows] == [{1: 1, 2: 1, 3: 0}, {1: 0, 2: 0, 3: 1}]
-    out = bp_engine.run(net)
-    assert out.assignment.flows == {1: 1, 2: 1, 3: 0}
-    assert bp_engine.detect_uniqueness(net).unique
-    assert not bp_engine.detect_uniqueness(_t1(c3=2)).unique
+    _check([fa.flows for fa in flows] == [{1: 1, 2: 1, 3: 0}, {1: 0, 2: 0, 3: 1}],
+           "enumerated feasible flows")
+    _check(bp_engine.run(net).assignment.flows == {1: 1, 2: 1, 3: 0}, "solve")
+    _check(bp_engine.detect_uniqueness(net).unique, "unique optimum not detected")
+    _check(not bp_engine.detect_uniqueness(_t1(c3=2)).unique, "tie reported unique")
     return "triangle instance: solve + uniqueness"
 
 
@@ -82,7 +89,7 @@ def _suite_tree_identity(quick: bool) -> str:
                 b = bp_engine.belief(reduced, state, a.id)
                 tree = oracles.build_tree(reduced, a.id, depth)
                 for z in range(a.capacity + 1):
-                    assert b.evaluate(z) == oracles.tree_solve(tree, z)
+                    _check(b.evaluate(z) == oracles.tree_solve(tree, z), (seed, a.id, depth, z))
                     checks += 1
     return f"{checks} belief/tree value identities"
 
@@ -94,8 +101,9 @@ def _suite_convergence(quick: bool) -> str:
                                  ensure_unique=True)
         out = bp_engine.run(net)
         ref = oracles.exact_solve(net)
-        assert out.assignment.flows == ref.flows
-        bp_engine.check_message_invariants(net, out.state) if out.state else None
+        _check(out.assignment.flows == ref.flows, seed)
+        if out.state:
+            bp_engine.check_message_invariants(preprocess_degree(net)[0], out.state)
     return f"{count} unique-optimum instances solved exactly"
 
 
@@ -111,7 +119,7 @@ def _suite_hard_family(quick: bool) -> str:
             hist.append(bp_engine.belief(net, state, 1).argmin())
         final = hist[-1]
         settles.append(max(i for i, v in enumerate(hist) if v != final) + 2)
-    assert settles == sorted(settles) and settles[-1] > settles[0]
+    _check(settles == sorted(settles) and settles[-1] > settles[0], settles)
     return f"settle rounds {settles} grow with the cost parameter"
 
 
@@ -124,7 +132,7 @@ def _suite_isolation(quick: bool) -> str:
         sol = oracles.exact_solve(pert.network)
         if oracles.is_unique_optimum(pert.network, sol):
             unique += 1
-    assert unique >= trials // 2, f"only {unique}/{trials} unique"
+    _check(unique >= trials // 2, f"only {unique}/{trials} unique")
     return f"{unique}/{trials} perturbations isolated a unique optimum"
 
 
@@ -134,8 +142,8 @@ def _suite_approx(quick: bool) -> str:
         net = gen.random_network(seed + 8200, n=5, m=6, c_max=4, cap_max=3)
         opt = oracles.exact_solve(net).objective
         res = fpras.approx_scheme(net, Fraction(1, 2), seed)
-        assert res.assignment.feasible
-        assert res.assignment.objective <= Fraction(3, 2) * opt
+        _check(res.assignment.feasible, seed)
+        _check(res.assignment.objective <= Fraction(3, 2) * opt, seed)
     return f"{count} instances within the 1.5x guarantee"
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +272,35 @@ def test_selftest_quick(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "7/7 suites passed" in out
+
+
+_INVERTED_GAP_SELFTEST = """
+import sys
+from flowbp import bp_engine, cli
+
+real_gap_test = bp_engine.gap_test
+
+
+def inverted(*args):
+    unique, out = real_gap_test(*args)
+    return not unique, out
+
+
+bp_engine.gap_test = inverted
+print("optimize", sys.flags.optimize)
+sys.exit(cli.main(["selftest", "--quick"]))
+"""
+
+
+def test_selftest_fails_under_python_O_when_the_gap_verdict_is_wrong():
+    # the suites must not rely on assert, which python -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INVERTED_GAP_SELFTEST],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert "optimize 1" in proc.stdout
+    assert "[FAIL] triangle-instance" in proc.stdout
+    assert proc.returncode == cli.EXIT_OTHER

@@ -1,6 +1,7 @@
 import pytest
 
 from flowbp.bp_engine import (
+    MessageState,
     beliefs_at_round,
     belief,
     check_message_invariants,
@@ -12,9 +13,10 @@ from flowbp.bp_engine import (
     update_round,
 )
 from flowbp.flowmodel import FlowNetwork, iteration_bound, preprocess_degree
+from flowbp.fpras import perturb_costs
 from flowbp.gen import hard_instance, random_network
 from flowbp.oracles import build_tree, exact_solve, is_unique_optimum, tree_solve
-from flowbp.pwl import POS_INF, PwlConvex
+from flowbp.pwl import POS_INF, PwlConvex, scaled_interpolation
 from helpers import t1_network
 
 
@@ -49,6 +51,61 @@ def test_update_round_two_t1():
     net = t1_network()
     s2 = update_round(net, update_round(net, init_messages(net)))
     assert s2.message(1, 1) == PwlConvex.linear(2, 0, 2)
+
+
+def _literal_round(net, state):
+    # every message from scratch: a signed k-way convolution of the far
+    # endpoint's other messages, re-parametrized to the arc's flow, plus
+    # the arc cost; keys in arc order, toward the tail first
+    prev = state.messages
+    table = {}
+    for a in net.arcs:
+        for to_end, far in ((a.tail, a.head), (a.head, a.tail)):
+            others = [(e, d) for e, d in net.incident[far] if e.id != a.id]
+            combined = scaled_interpolation(
+                [prev[(e.id, far)] for e, _ in others], [d for _, d in others]
+            )
+            table[(a.id, to_end)] = a.cost.add(
+                combined.compose_affine(-a.delta(far), net.demands[far])
+            )
+    return MessageState(state.round + 1, table)
+
+
+def _differential_cases():
+    for seed in range(6):
+        # n=8, m=40: parallel arcs and nodes of degree 10 and more
+        net, _ = preprocess_degree(random_network(seed + 7000, n=8, m=40, c_max=5, cap_max=3))
+        yield f"random-{seed}", net
+    yield "multi-piece", preprocess_degree(
+        random_network(7100, n=6, m=18, c_max=6, cap_max=4, cost_pieces=3)
+    )[0]
+    yield "hard-6", hard_instance(6)
+    base = random_network(7200, n=6, m=14, c_max=4, cap_max=3)
+    yield "perturbed", preprocess_degree(perturb_costs(base, "1/1000000000000000", 3).network)[0]
+
+
+def test_differential_cases_cover_hard_shapes():
+    cases = dict(_differential_cases())
+    random_nets = [net for name, net in cases.items() if name.startswith("random")]
+    assert all(max(map(len, net.incident.values())) >= 10 for net in random_nets)
+    assert all(
+        len({(a.tail, a.head) for a in net.arcs}) < net.m for net in random_nets
+    )  # parallel arcs
+    assert cases["perturbed"].c_max > 2**64  # slopes beyond machine words
+
+
+@pytest.mark.parametrize("name,net", list(_differential_cases()))
+def test_update_round_equals_literal_round(name, net):
+    # prefix/suffix leave-one-out must give the very same table, entry for
+    # entry and in the same key order, as convolving each message's
+    # sources from scratch
+    state = lit = init_messages(net)
+    for _ in range(8):
+        state = update_round(net, state)
+        lit = _literal_round(net, lit)
+        assert list(state.messages) == list(lit.messages)
+        for key, m in lit.messages.items():
+            assert state.messages[key] == m, (name, state.round, key)
 
 
 def test_belief_round1_t1():
