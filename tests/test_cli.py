@@ -221,6 +221,17 @@ def test_approx_seed_env_fallback(capsys, t1_file, monkeypatch):
     assert report["seed"] == 11
 
 
+def test_main_calls_do_not_leak_arguments(capsys, t1_file, monkeypatch):
+    # main reuses one parser per process; no argument may carry over
+    monkeypatch.setenv("FLOWBP_SEED", "11")
+    _, first = run_cli(capsys, "approx", "--input", t1_file, "--epsilon", "1/2", "--seed", "5")
+    _, second = run_cli(capsys, "approx", "--input", t1_file, "--epsilon", "1/2")
+    assert (first["seed"], second["seed"]) == (5, 11)
+    _, one = run_cli(capsys, "solve", "--input", t1_file, "--iters", "1")
+    _, auto = run_cli(capsys, "solve", "--input", t1_file)
+    assert (one["rounds_used"], auto["rounds_used"]) == (1, 12)
+
+
 def test_approx_deterministic(capsys, t1_file):
     _, a = run_cli(capsys, "approx", "--input", t1_file, "--epsilon", "1/2", "--seed", "5")
     _, b = run_cli(capsys, "approx", "--input", t1_file, "--epsilon", "1/2", "--seed", "5")

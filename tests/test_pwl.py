@@ -226,6 +226,21 @@ def test_piece_count_examples():
     assert PwlConvex((0, 1, 2), (-1, 2), (1, 0)).piece_count == 2
 
 
+def test_tilt_rejects_noninteger_slope():
+    f = PwlConvex((0, 1, 2), (-1, 2), (1, 0))
+    for slope in (Fraction(1, 2), 0.5, 0.0, True):
+        with pytest.raises(NonConvexError):
+            f.tilt(slope)
+    assert f.tilt(3) == PwlConvex((0, 1, 2), (2, 5), (1, 3))
+
+
+def test_pointwise_diff_rejects_nonconvex_difference():
+    zero = PwlConvex.linear(0, 0, 2)
+    vee = PwlConvex((0, 1, 2), (-1, 1), (1, 0))  # |x - 1|
+    with pytest.raises(NonConvexError):
+        pointwise_diff(zero, vee)
+
+
 def test_pointwise_diff_roundtrip():
     rng = random.Random(3)
     for _ in range(200):
@@ -251,6 +266,38 @@ def test_json_roundtrip():
     z = PwlConvex.constant(4)
     d = z.to_json_dict()
     assert d["breakpoints"] == ["-inf", "inf"]
+
+
+def _assert_trusted_results(f, g, b, t):
+    """Algebra results (built without validation) equal their validated
+    reconstruction, derived values included."""
+    results = [f.compose_affine(1, b), f.compose_affine(-1, b), f.tilt(t)]
+    try:
+        results.append(inf_convolve2(f, g))
+    except UnboundedError:
+        pass
+    try:
+        results.append(f.add(g))
+    except EmptyDomainError:
+        pass
+    for r in results:
+        v = PwlConvex(r.breakpoints, r.slopes, r.anchor)
+        assert v == r and v._values == r._values, r
+
+
+def test_trusted_results_beyond_float_range():
+    big = 10**400  # float(big) overflows
+    f = PwlConvex((NEG_INF, -big, big, POS_INF), (-big, 0, big), (0, 7))
+    g = PwlConvex((-big, 0, POS_INF), (-3, big), (0, 0))
+    _assert_trusted_results(f, g, big, big)
+    _assert_trusted_results(g, f, -big, -big)
+    assert f.pieces() == [(-big, POS_INF), (0, 2 * big), (big, POS_INF)]
+    for z in (-2 * big, -big, -5, 0, 3, big, 2 * big):
+        assert f.compose_affine(-1, big).evaluate(z) == f.evaluate(big - z)
+        assert f.compose_affine(1, -big).evaluate(z) == f.evaluate(z - big)
+        assert f.tilt(big).evaluate(z) == f.evaluate(z) + big * z
+        if z >= -big:  # inside g's domain (bigint + inf overflows)
+            assert f.add(g).evaluate(z) == f.evaluate(z) + g.evaluate(z)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +327,12 @@ def test_scaled_interpolation_matches_signed_oracle():
 
 def test_closure_properties_random():
     rng = random.Random(5)
+    shifts = random.Random(6)  # kept apart, so rng draws the same operands
     for _ in range(300):
         f = random_pwl(rng)
         g = random_pwl(rng)
         h = inf_convolve2(f, g)
+        _assert_trusted_results(f, g, shifts.randint(-9, 9), shifts.randint(-9, 9))
         # convexity: strictly increasing slopes is enforced by construction,
         # re-check explicitly
         assert all(a < b for a, b in zip(h.slopes, h.slopes[1:]))
@@ -305,10 +354,12 @@ def test_unbounded_operands_against_oracle():
     # restrict to pairs whose convolution exists; grid oracle stays valid on
     # a window because optima lie on breakpoint-aligned points
     rng = random.Random(41)
+    shifts = random.Random(42)  # kept apart, so rng draws the same operands
     checked = 0
     while checked < 60:
         f = random_pwl(rng, allow_unbounded=True)
         g = random_pwl(rng, allow_unbounded=True)
+        _assert_trusted_results(f, g, shifts.randint(-9, 9), shifts.randint(-9, 9))
         try:
             h = inf_convolve2(f, g)
         except UnboundedError:
