@@ -24,10 +24,10 @@ strict gap in the final beliefs detects uniqueness itself.
 A fixed point of the message *shapes* (messages modulo one additive
 constant each) is a fixed point of everything the estimate and the gap test
 depend on, because one round shifts each new message by a constant when its
-inputs are shifted by constants.  The periodicity-aware runner below
-exploits that to answer "state at round N" without executing all N rounds;
-results are provably identical, and it is used where N is astronomically
-conservative.
+inputs are shifted by constants.  One round driver steps every solve, gap
+test and probe; it detects such an orbit (up to a verified slope drift) and
+answers "beliefs at round N" without executing all N rounds, with identical
+results, unless a per-round hook must see every table.
 """
 
 from __future__ import annotations
@@ -227,7 +227,6 @@ def run(
     rounds: Optional[int] = None,
     patience: Optional[int] = None,
     on_round: Optional[Callable[[FlowNetwork, MessageState], None]] = None,
-    dump_sink: Optional[Callable[[dict], None]] = None,
 ) -> RunResult:
     """Full solve: preprocess, run message rounds, read off the estimate.
 
@@ -237,6 +236,11 @@ def run(
     unchanged that many consecutive rounds; it is a heuristic (off by
     default) and forfeits the guarantee.  Degree-1-forced flows are merged
     back into the returned assignment.
+
+    Rounds past a verified orbit are fast-forwarded (:class:`_Rounds`)
+    with identical results, so ``executed_rounds`` can be far below
+    ``rounds_used`` and ``state`` is the last executed table.  An
+    ``on_round`` hook sees every table, so it forces literal execution.
     """
     if rounds is not None and rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
@@ -247,27 +251,24 @@ def run(
             raise InfeasibleFlowError("forced flows are not feasible")
         return RunResult(assignment, None, 0, 0, fixed)
     total = iteration_bound(reduced, "convergence") if rounds is None else rounds
-    state = init_messages(reduced)
-    piece_totals = []
-    last_flows = None
-    streak = 0
-    for _ in range(total):
-        state = update_round(reduced, state)
-        piece_totals.append(sum(m.piece_count for m in state.messages.values()))
-        if on_round is not None:
-            on_round(reduced, state)
-        if dump_sink is not None:
-            dump_sink(dump_round(state))
-        if patience is not None:
-            flows = {a.id: belief(reduced, state, a.id).argmin() for a in reduced.arcs}
+    driver = _Rounds(reduced, on_round)
+    last = total
+    if patience is None:
+        beliefs = driver.beliefs(total)
+    else:
+        last_flows, streak = None, 0
+        for last in range(1, total + 1):
+            beliefs = driver.beliefs(last)
+            flows = {aid: b.argmin() for aid, b in beliefs.items()}
             if flows == last_flows:
                 streak += 1
                 if streak >= patience:
                     break
             else:
                 last_flows, streak = flows, 0
-    assignment = _merged_assignment(network, fixed, estimate(reduced, state))
-    return RunResult(assignment, state, total, len(piece_totals), fixed, piece_totals)
+    assignment = _merged_assignment(network, fixed, _read_off(reduced, beliefs))
+    piece_totals = [driver.piece_total(r) for r in range(1, last + 1)]
+    return RunResult(assignment, driver.state, total, driver.executed, fixed, piece_totals)
 
 
 def dump_round(state: MessageState) -> dict:
@@ -282,25 +283,22 @@ def dump_round(state: MessageState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Periodicity-aware execution and the uniqueness gap test
+# The round driver with its affine-periodic fast-forward, and the gap test
 
 
-def _drift_signature(state: MessageState):
-    """Table identity modulo one additive constant and one slope tilt per
-    message: breakpoints plus slope increments.  Two rounds with equal
-    signatures differ exactly by ``alpha_k * z + beta_k`` per message."""
-    return tuple(
-        (m.breakpoints, tuple(s - m.slopes[0] for s in m.slopes))
-        for m in state.messages.values()
+def _same_shape(old: MessageState, new: MessageState) -> bool:
+    """Whether every message of ``new`` is its ``old`` counterpart plus
+    ``alpha_k * z + beta_k``: equal breakpoints and equal slope increments."""
+    return all(
+        f.breakpoints == g.breakpoints
+        and all(x - y == f.slopes[0] - g.slopes[0] for x, y in zip(f.slopes, g.slopes))
+        for f, g in zip(new.messages.values(), old.messages.values())
     )
 
 
-def _tilt_vector(state: MessageState):
-    """First slope per message (None for point indicators)."""
-    return tuple(m.slopes[0] if m.slopes else None for m in state.messages.values())
-
-
-def _invariant_tilt(recipes, old_tilts, new_tilts) -> Optional[dict[MessageKey, int]]:
+def _invariant_tilt(
+    recipes, old: MessageState, new: MessageState
+) -> Optional[dict[MessageKey, int]]:
     """Check that one round maps the observed affine offset to itself.
 
     ``alpha_k`` is each message's slope shift between the two matched
@@ -312,10 +310,11 @@ def _invariant_tilt(recipes, old_tilts, new_tilts) -> Optional[dict[MessageKey, 
     pattern is not invariant.
     """
     alpha: dict[MessageKey, Optional[int]] = {}
-    for r, old, new in zip(recipes, old_tilts, new_tilts):
-        if (old is None) != (new is None):
+    for r, f, g in zip(recipes, old.messages.values(), new.messages.values()):
+        if bool(f.slopes) != bool(g.slopes):
             return None
-        alpha[r.key] = None if old is None else new - old
+        # point indicators (no slopes) take any tilt
+        alpha[r.key] = g.slopes[0] - f.slopes[0] if f.slopes else None
     for r in recipes:
         c = None
         for k, sign in zip(r.sources, r.signs):
@@ -339,73 +338,79 @@ def _invariant_tilt(recipes, old_tilts, new_tilts) -> Optional[dict[MessageKey, 
     return {k: (0 if a is None else a) for k, a in alpha.items()}
 
 
-@dataclass
-class _Advanced:
-    """Executed state plus the affine correction that turns its beliefs
-    into round-``target`` beliefs (up to per-arc additive constants)."""
+class _Rounds:
+    """The message recursion on one reduced network, stepped on demand
+    through the module-level :func:`update_round`.
 
-    state: MessageState
-    executed: int
-    periods: int
-    alpha: Optional[dict[MessageKey, int]]  # per-period slope shift
-
-
-def _advance(reduced: FlowNetwork, target: int) -> _Advanced:
-    """Execute rounds until an affine-periodic orbit is verified, then
-    reduce the remaining rounds modulo the period.
-
-    On loopy graphs the message table eventually repeats up to an affine
-    offset per message (slopes keep drifting by the accumulated cycle
-    cost).  Once two rounds match and :func:`_invariant_tilt` certifies
-    the offset is reproduced by the update, round ``target``'s table equals
-    the executed table plus ``periods`` copies of the offset, exactly.
-    Falls back to literal execution when no orbit is found.
+    Without an ``on_round`` hook, each new table is compared with one
+    checkpoint table, moved to the current round at each power of two
+    (Brent's cycle detection).  A match up to ``alpha_k * z + beta_k`` per
+    message that :func:`_invariant_tilt` certifies is an orbit: from the
+    checkpoint on, round ``r + period`` is round ``r`` plus ``alpha``, up
+    to one constant per message.
     """
-    state = init_messages(reduced)
-    recipes = _recipes(reduced)
-    seen: dict[tuple, list[tuple[int, tuple]]] = {}
-    while state.round < target:
-        t = state.round
-        sig = _drift_signature(state)
-        tilts = _tilt_vector(state)
-        for prev_t, prev_tilts in seen.get(sig, ()):
-            period = t - prev_t
-            per_period = _invariant_tilt(recipes, prev_tilts, tilts)
-            if per_period is None:
-                continue
-            for _ in range((target - t) % period):
-                state = update_round(reduced, state)
-            periods = (target - state.round) // period
-            return _Advanced(
-                MessageState(target, state.messages), state.round, periods, per_period
-            )
-        bucket = seen.setdefault(sig, [])
-        bucket.append((t, tilts))
-        if len(bucket) > 64:  # matches use short periods; bound the scans
-            del bucket[0]
-        state = update_round(reduced, state)
-    return _Advanced(MessageState(target, state.messages), state.round, 0, None)
+
+    def __init__(self, reduced: FlowNetwork, on_round=None):
+        self.network = reduced
+        self.on_round = on_round
+        self.state = self._checkpoint = init_messages(reduced)
+        self.piece_totals: list[int] = []  # entry r - 1 belongs to round r
+        self.orbit: Optional[tuple[int, int, dict[MessageKey, int]]] = None  # start, period, alpha
+
+    @property
+    def executed(self) -> int:
+        return self.state.round
+
+    def _step(self) -> None:
+        self.state = update_round(self.network, self.state)
+        self.piece_totals.append(sum(m.piece_count for m in self.state.messages.values()))
+        if self.on_round is not None:
+            self.on_round(self.network, self.state)
+        elif self.orbit is None:
+            t, check = self.state.round, self._checkpoint
+            if _same_shape(check, self.state):
+                alpha = _invariant_tilt(_recipes(self.network), check, self.state)
+                if alpha is not None:
+                    self.orbit = (check.round, t - check.round, alpha)
+            if t & (t - 1) == 0:
+                self._checkpoint = self.state
+
+    def beliefs(self, target: int) -> dict[int, PwlConvex]:
+        """Round-``target`` beliefs, each exact up to an additive constant
+        (``target`` must not decrease between calls).  On the orbit, the
+        rounds left are reduced modulo the period, and each belief gains
+        ``periods * (alpha_tail + alpha_head)`` slope: callers read only
+        belief differences (minimizers, gap comparisons)."""
+        while self.state.round < target and self.orbit is None:
+            self._step()
+        periods = 0
+        if self.orbit is not None:
+            _, period, alpha = self.orbit
+            for _ in range((target - self.state.round) % period):
+                self._step()
+            periods = (target - self.state.round) // period
+        out = {}
+        for a in self.network.arcs:
+            b = belief(self.network, self.state, a.id)
+            if periods:
+                b = b.tilt(periods * (alpha[(a.id, a.tail)] + alpha[(a.id, a.head)]))
+            out[a.id] = b
+        return out
+
+    def piece_total(self, r: int) -> int:
+        """Total message pieces at round ``r``, executed or on the orbit
+        (a tilt keeps piece counts)."""
+        if r > self.state.round:
+            start, period, _ = self.orbit
+            r = start + (r - start - 1) % period + 1
+        return self.piece_totals[r - 1]
 
 
 def beliefs_at_round(reduced: FlowNetwork, target: int) -> tuple[dict[int, PwlConvex], int]:
-    """Round-``target`` beliefs, each exact up to an additive constant.
-
-    Uses the periodic-orbit shortcut when available: the two directed
-    offsets of an arc add up inside its belief, so the executed belief
-    plus ``periods * (alpha_tail + alpha_head)`` extra slope is the
-    round-``target`` belief up to a constant.  Everything downstream
-    (minimizers, gap comparisons) only reads belief differences.
-    """
-    adv = _advance(reduced, target)
-    out = {}
-    for a in reduced.arcs:
-        b = belief(reduced, adv.state, a.id)
-        if adv.alpha is not None and adv.periods:
-            b = b.tilt(
-                adv.periods * (adv.alpha[(a.id, a.tail)] + adv.alpha[(a.id, a.head)])
-            )
-        out[a.id] = b
-    return out, adv.executed
+    """Round-``target`` beliefs, each exact up to an additive constant, and
+    the number of rounds executed to get them (see :class:`_Rounds`)."""
+    driver = _Rounds(reduced)
+    return driver.beliefs(target), driver.executed
 
 
 def gap_test(

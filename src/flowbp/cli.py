@@ -126,18 +126,14 @@ def cmd_solve(args) -> int:
     net = load_instance(args.input, args.format)
     oracles.exact_solve(net)  # feasibility gate; raises when infeasible
     rounds = None if args.iters == "auto" else args.iters
-    dump_sink = None
-    dump_file = None
-    if args.dump_messages:
-        dump_file = open(args.dump_messages, "w", encoding="utf-8")
-        dump_sink = lambda rec: print(json.dumps(rec, sort_keys=True), file=dump_file)
-    try:
-        result = bp_engine.run(
-            net,
-            rounds=rounds,
-            patience=args.patience,
-            dump_sink=dump_sink,
+    dump_file = open(args.dump_messages, "w", encoding="utf-8") if args.dump_messages else None
+    on_round = None
+    if dump_file is not None:
+        on_round = lambda _net, state: print(
+            json.dumps(bp_engine.dump_round(state), sort_keys=True), file=dump_file
         )
+    try:
+        result = bp_engine.run(net, rounds=rounds, patience=args.patience, on_round=on_round)
     finally:
         if dump_file is not None:
             dump_file.close()

@@ -35,6 +35,11 @@ UNBOUNDED = None
 
 Capacity = Union[int, None]
 
+#: Largest node count a DIMACS ``p min <n> <m>`` line may declare.
+#: ``parse_dimacs`` gives every declared node a demand entry, so a larger
+#: count is a parse error before anything is allocated.
+MAX_DIMACS_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -182,9 +187,6 @@ class FlowAssignment:
     feasible: bool = True
     ties: tuple[int, ...] = ()
 
-    def value(self, arc_id: int) -> int:
-        return self.flows[arc_id]
-
 
 def objective_value(network: FlowNetwork, flows: Mapping[int, int]):
     """Total cost of ``flows`` under the network's own cost functions."""
@@ -229,7 +231,8 @@ def parse_dimacs(text: str) -> FlowNetwork:
     Recognized lines: ``c`` comments, one ``p min <n> <m>`` header,
     ``n <id> <flow>`` node lines (positive flow = supply; absent nodes get
     zero), and ``a <src> <dst> <low> <cap> <cost>`` arc lines.  Lower bounds
-    must be zero.  Arcs receive ids 1..m in file order.
+    must be zero.  Arcs receive ids 1..m in file order.  At most
+    :data:`MAX_DIMACS_NODES` nodes may be declared.
     """
     header = None
     node_lines: list[tuple[int, int]] = []
@@ -246,6 +249,11 @@ def parse_dimacs(text: str) -> FlowNetwork:
                 if len(parts) != 4 or parts[1] != "min":
                     raise DimacsSyntaxError(f"line {lineno}: expected 'p min <n> <m>'")
                 header = (int(parts[2]), int(parts[3]))
+                if header[0] > MAX_DIMACS_NODES:
+                    raise DimacsSyntaxError(
+                        f"line {lineno}: {header[0]} nodes declared, at most "
+                        f"{MAX_DIMACS_NODES} supported"
+                    )
             elif parts[0] == "n":
                 if len(parts) != 3:
                     raise DimacsSyntaxError(f"line {lineno}: expected 'n <id> <flow>'")

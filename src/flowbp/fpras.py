@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from numpy.random import Generator, Philox, SeedSequence
 
-from .bp_engine import belief, gap_test, init_messages, update_round
+from .bp_engine import _Rounds, gap_test
 from .errors import (
     RestartBudgetExceededError,
     ResultCheckError,
@@ -48,7 +48,7 @@ from .oracles import exact_solve
 
 RESTART_BUDGET = 64
 
-#: Executed-round cap for the probe loop before the exact tail takes over.
+#: Last probe round of the probe loop before the exact tail takes over.
 PROBE_CAP = 1 << 14
 
 SeedLike = Union[int, SeedSequence]
@@ -148,7 +148,8 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     *is* that optimum.  Both facts let us shortcut the astronomical round
     count without changing any output:
 
-    * probe the recursion at geometrically spaced rounds; when the gap test
+    * probe the recursion at geometrically spaced rounds (the round
+      driver fast-forwards them along a verified orbit); when the gap test
       passes and the estimate has no zero-or-negative genuine residual
       cycle, the estimate is certified as the unique optimum, which is
       exactly the full run's answer;
@@ -165,38 +166,33 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
         # every flow is forced, so the feasible set is a single point
         return True, dict(fixed), 0
     threshold = pn.n * pn.c_max
-    state = init_messages(reduced)
-    t = 0
+    driver = _Rounds(reduced)
     oracle_gap = None
     oracle_flows = None
     probe = 8
     while True:
-        while t < probe:
-            state = update_round(reduced, state)
-            t += 1
-        beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
-        cand_unique, est = gap_test(reduced, beliefs, threshold)
+        cand_unique, est = gap_test(reduced, driver.beliefs(probe), threshold)
         if cand_unique:
             flows = {**fixed, **est.flows}
             if check_feasible(pn, flows):
                 gap = _cycle_gap(pn, flows)
                 if gap is NO_CYCLE or (gap is not NEGATIVE_CYCLE and gap > 0):
-                    return True, flows, t
+                    return True, flows, driver.executed
                 if gap is not NEGATIVE_CYCLE:
-                    return False, None, t  # optimal but tied
+                    return False, None, driver.executed  # optimal but tied
         else:
             if oracle_gap is None:
                 oracle_flows, oracle_gap = _oracle_gap(pn)
             if oracle_gap is not NO_CYCLE and oracle_gap == 0:
-                return False, None, t
+                return False, None, driver.executed
             # the optimum is unique; the recursion just has not separated
             # the beliefs yet, so keep going
-        if t >= PROBE_CAP:
+        if probe >= PROBE_CAP:
             if oracle_gap is None:
                 oracle_flows, oracle_gap = _oracle_gap(pn)
             if oracle_gap is NO_CYCLE or oracle_gap > 0:
-                return True, dict(oracle_flows), t
-            return False, None, t
+                return True, dict(oracle_flows), driver.executed
+            return False, None, driver.executed
         probe = min(probe * 2, PROBE_CAP)
 
 

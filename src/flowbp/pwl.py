@@ -63,9 +63,9 @@ class PwlConvex:
     Public construction (``PwlConvex(...)``, :meth:`constant`,
     :meth:`point`, :meth:`linear`) and :meth:`from_json_dict` validate
     every input.  Results of the algebra (:func:`inf_convolve2`,
-    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are valid by
-    construction and take the internal :meth:`_trusted` path, which merges
-    and settles exactly like ``__init__`` but skips the validation.
+    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are canonical by
+    construction (the convolution merges equal slopes while it stitches)
+    and take the internal :meth:`_trusted` path, which only settles.
     """
 
     __slots__ = ("breakpoints", "slopes", "anchor", "_values")
@@ -108,23 +108,7 @@ class PwlConvex:
             raise AnchorOutOfDomainError(f"anchor {anchor!r} must be a pair of integers")
         if not (bks[0] <= z0 <= bks[-1]):
             raise AnchorOutOfDomainError(f"anchor point {z0} outside domain [{bks[0]}, {bks[-1]}]")
-        self._canonicalize(bks, sls, z0, v0)
-
-    @classmethod
-    def _trusted(cls, breakpoints, slopes, anchor: tuple[int, int]) -> "PwlConvex":
-        """Construct from data that is valid by construction.
-
-        Only for results of the algebra in this module: the equal-slope
-        merge and :meth:`_settle` run as in ``__init__``; the input checks
-        do not.
-        """
-        f = object.__new__(cls)
-        f._canonicalize(tuple(breakpoints), tuple(slopes), *anchor)
-        return f
-
-    def _canonicalize(self, bks: tuple, sls: tuple, z0: int, v0: int) -> None:
-        """Merge runs of equal adjacent slopes, then settle the values."""
-        if any(map(operator.eq, sls, sls[1:])):
+        if any(map(operator.eq, sls, sls[1:])):  # merge runs of equal slopes
             mb, ms = [bks[0]], []
             for i, s in enumerate(sls):
                 if ms and ms[-1] == s:
@@ -136,6 +120,20 @@ class PwlConvex:
         self.breakpoints = bks
         self.slopes = sls
         self.anchor, self._values = self._settle(bks, sls, z0, v0)
+
+    @classmethod
+    def _trusted(cls, breakpoints, slopes, anchor: tuple[int, int]) -> "PwlConvex":
+        """Construct from canonical data: strictly increasing breakpoints
+        and slopes, which every algebra result in this module has.
+
+        Only :meth:`_settle` runs; the input checks and the equal-slope
+        merge of ``__init__`` do not.
+        """
+        f = object.__new__(cls)
+        f.breakpoints = bks = tuple(breakpoints)
+        f.slopes = sls = tuple(slopes)
+        f.anchor, f._values = cls._settle(bks, sls, *anchor)
+        return f
 
     @staticmethod
     def _settle(bks, sls, z0, v0):
@@ -241,9 +239,6 @@ class PwlConvex:
         if not _is_int(p):
             raise UnboundedError("function decreases toward an infinite domain end")
         return p
-
-    def min_value(self) -> int:
-        return self.evaluate(self.argmin())
 
     def right_derivative(self, x: Extended) -> int:
         """Slope of the piece immediately to the right of ``x`` (x < a_k)."""
@@ -467,20 +462,30 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     t0 = pf + pg
     v0 = vf + vg
 
+    # Stitch outward from t0, merging pieces of equal slope (from f and g,
+    # or on both sides of t0) so the result is canonical.
     bks: list[Extended] = [t0]
     sls: list[int] = []
     cur: Extended = t0
     for s, length in sorted(f_left + g_left, key=operator.itemgetter(0), reverse=True):
         cur = NEG_INF if length == POS_INF else cur - length
-        bks.insert(0, cur)
-        sls.insert(0, s)
+        if sls and sls[-1] == s:
+            bks[-1] = cur
+        else:
+            bks.append(cur)
+            sls.append(s)
         if cur == NEG_INF:
             break
+    bks.reverse()
+    sls.reverse()
     cur = t0
     for s, length in sorted(f_right + g_right, key=operator.itemgetter(0)):
         cur = POS_INF if length == POS_INF else cur + length
-        bks.append(cur)
-        sls.append(s)
+        if sls and sls[-1] == s:
+            bks[-1] = cur
+        else:
+            bks.append(cur)
+            sls.append(s)
         if cur == POS_INF:
             break
     return PwlConvex._trusted(bks, sls, (t0, v0))

@@ -2,6 +2,7 @@ import pytest
 
 from flowbp.bp_engine import (
     MessageState,
+    _Rounds,
     beliefs_at_round,
     belief,
     check_message_invariants,
@@ -234,6 +235,15 @@ def test_detect_uniqueness_empty_after_preprocessing():
     assert res.assignment.flows == {1: 1}
 
 
+def _same_up_to_constant(fast, lit):
+    # same pieces, and values that differ by one constant on the domain
+    assert fast.breakpoints == lit.breakpoints and fast.slopes == lit.slopes
+    lo, hi = lit.domain
+    off = fast.evaluate(lo) - lit.evaluate(lo)
+    for z in range(lo, hi + 1):
+        assert fast.evaluate(z) - lit.evaluate(z) == off
+
+
 def test_fast_beliefs_match_literal_run():
     # the periodic-orbit shortcut must reproduce round-N beliefs exactly
     # up to one additive constant per arc
@@ -249,15 +259,7 @@ def test_fast_beliefs_match_literal_run():
         for _ in range(target):
             lit = update_round(net, lit)
         for a in net.arcs:
-            bf = fast[a.id]
-            bl = belief(net, lit, a.id)
-            assert bf.breakpoints == bl.breakpoints
-            assert bf.slopes == bl.slopes
-            # values agree up to one constant across the whole domain
-            lo = bl.breakpoints[0]
-            off = bf.evaluate(lo) - bl.evaluate(lo)
-            for z in range(lo, bl.breakpoints[-1] + 1):
-                assert bf.evaluate(z) - bl.evaluate(z) == off
+            _same_up_to_constant(fast[a.id], belief(net, lit, a.id))
 
 
 def test_beliefs_match_computation_tree():
@@ -316,6 +318,78 @@ def test_patience_early_exit_preserves_answer():
     assert out.executed_rounds < out.rounds_used
     assert out.assignment.flows == exact_solve(net).flows
 
+
+def _run_cases():
+    for seed in range(8):
+        # unique and tied optima, linear and three-piece costs
+        yield f"random-{seed}", random_network(
+            seed + 3000, n=4 + seed % 4, m=7 + seed % 5, c_max=2 + seed % 3, cap_max=3,
+            cost_pieces=1 if seed % 3 else 3, ensure_unique=seed % 2 == 0,
+        )
+    yield "tied-t1", t1_network(c3=2)
+    yield "hard-6", hard_instance(6)
+    yield "hard-12", hard_instance(12)
+
+
+def test_run_fast_forward_equals_literal_execution():
+    # a no-op hook forces every round to execute; the fast-forwarded run
+    # must report the same flows, ties, objective and per-round piece totals
+    skipped = 0
+    for name, net in _run_cases():
+        for rounds in (None, 7, 60):
+            fast = run(net, rounds=rounds)
+            lit = run(net, rounds=rounds, on_round=lambda *_: None)
+            assert fast.assignment.flows == lit.assignment.flows, (name, rounds)
+            assert fast.assignment.ties == lit.assignment.ties, (name, rounds)
+            assert fast.assignment.objective == lit.assignment.objective, (name, rounds)
+            assert fast.piece_totals == lit.piece_totals, (name, rounds)
+            assert fast.rounds_used == lit.rounds_used == lit.executed_rounds
+            assert fast.executed_rounds <= fast.rounds_used
+            skipped += fast.executed_rounds < fast.rounds_used
+    assert skipped >= 10
+
+
+def test_run_patience_equals_literal_patience_loop():
+    for name, net in _run_cases():
+        out = run(net, patience=3)
+        reduced, fixed = preprocess_degree(net)
+        state = init_messages(reduced)
+        last_flows, streak, totals = None, 0, []
+        for _ in range(iteration_bound(reduced, "convergence")):
+            state = update_round(reduced, state)
+            totals.append(sum(m.piece_count for m in state.messages.values()))
+            flows = {a.id: belief(reduced, state, a.id).argmin() for a in reduced.arcs}
+            if flows == last_flows:
+                streak += 1
+                if streak >= 3:
+                    break
+            else:
+                last_flows, streak = flows, 0
+        est = estimate(reduced, state)
+        assert out.assignment.flows == {**fixed, **est.flows}, name
+        assert out.assignment.ties == est.ties, name
+        assert out.piece_totals == totals, name
+        assert out.executed_rounds <= len(totals)
+
+
+def test_one_driver_answers_increasing_targets_like_fresh_drivers():
+    targets = (1, 3, 10, 11, 40, 41, 41, 97, 301)
+    orbits = 0
+    for name, net in _run_cases():
+        reduced, _ = preprocess_degree(net)
+        driver = _Rounds(reduced)
+        for t in targets:
+            shared = driver.beliefs(t)
+            fresh, _ = beliefs_at_round(reduced, t)
+            for aid, b in fresh.items():
+                _same_up_to_constant(shared[aid], b)
+            assert driver.executed <= t
+        orbits += driver.orbit is not None
+        lit = _Rounds(reduced, on_round=lambda *_: None)
+        lit.beliefs(120)
+        for r in range(1, 121):
+            assert driver.piece_total(r) == lit.piece_totals[r - 1], (name, r)
+    assert orbits >= 5  # tied and hard instances reach an orbit early
 
 
 @pytest.mark.parametrize("rounds", [0, -5])

@@ -9,9 +9,21 @@ from flowbp.errors import (
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
-from flowbp.flowmodel import FlowAssignment, FlowNetwork, preprocess_degree
+from flowbp.bp_engine import belief, gap_test, init_messages, update_round
+from flowbp.flowmodel import (
+    NEGATIVE_CYCLE,
+    NO_CYCLE,
+    FlowAssignment,
+    FlowNetwork,
+    check_feasible,
+    preprocess_degree,
+)
 from flowbp.fpras import (
+    PROBE_CAP,
     PerturbedInstance,
+    _cycle_gap,
+    _decide_perturbed,
+    _oracle_gap,
     approx_scheme,
     aprxmt,
     fix_arc,
@@ -204,3 +216,59 @@ def test_per_round_fixing_inequality():
             gap = obj3 - x1.objective
             allowance = abs(rnd.value - x1.flows[rnd.fixed_arc]) * inst.n * rnd.granularity
             assert gap <= allowance, (seed, rnd.index)
+
+
+def _literal_decide(pn):
+    # the probe loop with every round executed, as it was before the round
+    # driver: gap test at rounds 8, 16, ..., PROBE_CAP, then the exact tail
+    reduced, fixed = preprocess_degree(pn)
+    if reduced.m == 0:
+        return True, dict(fixed), 0
+    threshold = pn.n * pn.c_max
+    state = init_messages(reduced)
+    t = 0
+    oracle_gap = None
+    oracle_flows = None
+    probe = 8
+    while True:
+        while t < probe:
+            state = update_round(reduced, state)
+            t += 1
+        beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
+        cand_unique, est = gap_test(reduced, beliefs, threshold)
+        if cand_unique:
+            flows = {**fixed, **est.flows}
+            if check_feasible(pn, flows):
+                gap = _cycle_gap(pn, flows)
+                if gap is NO_CYCLE or (gap is not NEGATIVE_CYCLE and gap > 0):
+                    return True, flows, t
+                if gap is not NEGATIVE_CYCLE:
+                    return False, None, t
+        else:
+            if oracle_gap is None:
+                oracle_flows, oracle_gap = _oracle_gap(pn)
+            if oracle_gap is not NO_CYCLE and oracle_gap == 0:
+                return False, None, t
+        if t >= PROBE_CAP:
+            if oracle_gap is None:
+                oracle_flows, oracle_gap = _oracle_gap(pn)
+            if oracle_gap is NO_CYCLE or oracle_gap > 0:
+                return True, dict(oracle_flows), t
+            return False, None, t
+        probe = min(probe * 2, PROBE_CAP)
+
+
+def test_decide_perturbed_equals_literal_probe_loop():
+    # draws that certify a unique optimum early or after the oracle says
+    # "keep going", find a zero-cost residual cycle (a tie), or reach
+    # their probe rounds along an orbit
+    outcomes = set()
+    for seed, draw in [(2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]:
+        net = random_network(seed + 6100, n=3, m=4 + seed % 3, c_max=1, cap_max=2)
+        pn = perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network
+        unique, flows, executed = _decide_perturbed(pn)
+        lit_unique, lit_flows, lit_rounds = _literal_decide(pn)
+        assert (unique, flows) == (lit_unique, lit_flows), (seed, draw)
+        assert executed <= lit_rounds
+        outcomes.add((unique, executed < lit_rounds))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

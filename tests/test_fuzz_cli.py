@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowbp import cli, gen
-from flowbp.flowmodel import emit_dimacs, network_to_json_dict
+from flowbp.flowmodel import MAX_DIMACS_NODES, emit_dimacs, network_to_json_dict
 
 FUZZ = settings(
     derandomize=True,
@@ -47,7 +47,7 @@ BIG_INT = st.sampled_from([2**63, -(2**63) - 1, 10**30, -(10**30)])
 JUNK = st.sampled_from(["", "x", "1.5", "-0", "1e3", "nan", "inf", "0x10", "1_0", "١"])
 
 
-def _run_solve(path: Path, text: str) -> None:
+def _run_solve(path: Path, text: str) -> int:
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -59,6 +59,7 @@ def _run_solve(path: Path, text: str) -> None:
         assert report["error"]["kind"] in ERROR_KINDS, (report, text)
     else:
         assert json.loads(out.getvalue())["schema"] == cli.REPORT_SCHEMA
+    return code
 
 
 @st.composite
@@ -71,10 +72,7 @@ def dimacs_texts(draw):
         first = 1 if op == "number" else 0  # numbers go after the line's descriptor
         if op in ("number", "junk") and lines and len(lines[i]) > first:
             j = draw(st.integers(first, len(lines[i]) - 1))
-            # A huge declared node count would allocate that many nodes, so
-            # big integers go only into node and arc lines.
-            number = SMALL_INT if lines[i][0] == "p" else SMALL_INT | BIG_INT
-            lines[i][j] = str(draw(number if op == "number" else JUNK))
+            lines[i][j] = str(draw(SMALL_INT | BIG_INT if op == "number" else JUNK))
         elif op == "delete" and lines:
             del lines[i]
         elif op == "duplicate" and lines:
@@ -128,6 +126,12 @@ def json_texts(draw):
 def test_mutated_dimacs_ends_in_a_documented_exit(text):
     with tempfile.TemporaryDirectory() as tmp:
         _run_solve(Path(tmp) / "instance.dimacs", text)
+
+
+def test_huge_declared_node_count_is_a_parse_error(tmp_path):
+    # rejected from the header alone, before one node is allocated
+    for n in (10**10, MAX_DIMACS_NODES + 1):
+        assert _run_solve(tmp_path / "huge.dimacs", f"p min {n} 1\na 1 2 0 1 1\n") == 3
 
 
 @FUZZ

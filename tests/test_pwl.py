@@ -326,6 +326,16 @@ def test_scaled_interpolation_matches_signed_oracle():
 
 
 def test_closure_properties_random():
+    # f and g share slopes: on one side of the stitch point, and on both
+    # sides of it (f is one sloped line on R, so it splits into two pieces)
+    shared = [
+        (PwlConvex((0, 2, 5, 6), (1, 3, 4), (0, 0)), PwlConvex((-1, 1, 4), (1, 3), (0, 5))),
+        (PwlConvex((NEG_INF, POS_INF), (2,), (0, 0)), PwlConvex((0, 1, 4), (2, 5), (0, 0))),
+    ]
+    for f, g in shared:
+        _assert_trusted_results(f, g, 3, -2)
+    assert inf_convolve2(*shared[0]).slopes == (1, 3, 4)
+    assert inf_convolve2(*shared[1]) == PwlConvex((NEG_INF, POS_INF), (2,), (0, 0))
     rng = random.Random(5)
     shifts = random.Random(6)  # kept apart, so rng draws the same operands
     for _ in range(300):
