@@ -37,6 +37,7 @@ from .flowmodel import (
     FlowNetwork,
     ResidualGraph,
     UNBOUNDED,
+    check_solvable,
     emit_dimacs,
     iteration_bound,
     linear_cost,
@@ -77,6 +78,7 @@ __all__ = [
     "aprxmt",
     "belief",
     "build_tree",
+    "check_solvable",
     "detect_uniqueness",
     "emit_dimacs",
     "enumerate_integral_flows",

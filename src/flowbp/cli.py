@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bp_engine, fpras, gen, oracles
+from . import bp_engine, fpras, gen
 from .errors import (
     DimacsInconsistentError,
     DimacsSyntaxError,
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .flowmodel import (
     FlowNetwork,
+    check_solvable,
     emit_dimacs,
     network_from_json_dict,
     network_to_json_dict,
@@ -124,7 +125,7 @@ def _base_report(mode: str, net: FlowNetwork) -> dict:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
-    oracles.exact_solve(net)  # feasibility gate; raises when infeasible
+    check_solvable(net)  # raises on infeasible and unbounded instances
     rounds = None if args.iters == "auto" else args.iters
     dump_file = open(args.dump_messages, "w", encoding="utf-8") if args.dump_messages else None
     on_round = None
@@ -158,7 +159,7 @@ def cmd_solve(args) -> int:
 def cmd_check_unique(args) -> int:
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
-    oracles.exact_solve(net)
+    check_solvable(net)
     res = bp_engine.detect_uniqueness(net)
     report = _base_report("check-unique", net)
     report.update(
@@ -178,7 +179,7 @@ def cmd_check_unique(args) -> int:
 def cmd_approx(args) -> int:
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
-    oracles.exact_solve(net)
+    check_solvable(net)
     try:
         eps = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,6 +1,11 @@
 """Network data model: instances, validation, DIMACS and JSON ingestion,
-degree-1 preprocessing, residual graphs, cycle diagnostics, iteration
-bounds, and the node-capacity splitting reduction.
+degree-1 preprocessing, residual graphs, cycle diagnostics, the
+solvability gate, iteration bounds, and the node-capacity splitting
+reduction.
+
+Everything here is plain integer code with no third-party imports; the
+solvability gate (:func:`check_solvable`, a max-flow plus a negative-cycle
+test) is what the CLI runs before message passing.
 
 Conventions.  Flow on an arc is bounded by ``0 <= x_e <= u_e`` with
 ``u_e = None`` meaning unbounded.  Node demands follow the net-supply
@@ -23,10 +28,12 @@ from .errors import (
     DimacsSyntaxError,
     ForcedInfeasibleError,
     InfeasibleFlowError,
+    InfeasibleInstanceError,
     JsonInstanceError,
     NegativeCapacityError,
     NonZeroLowerBoundError,
     SelfLoopError,
+    UnboundedObjectiveError,
 )
 from .pwl import POS_INF, PwlConvex
 
@@ -495,6 +502,22 @@ def _bellman_ford(nodes, arcs, src):
     return dist
 
 
+def _has_negative_cycle(nodes, arcs) -> bool:
+    """Whether ``arcs`` (with ``tail``, ``head`` and integer ``cost``) close
+    a negative-cost directed cycle: Bellman-Ford relaxation from an
+    implicit super-source joined to every node at cost 0."""
+    dist = {v: 0 for v in nodes}
+    for _ in range(len(nodes)):
+        changed = False
+        for ra in arcs:
+            if dist[ra.tail] + ra.cost < dist[ra.head]:
+                dist[ra.head] = dist[ra.tail] + ra.cost
+                changed = True
+        if not changed:
+            return False
+    return any(dist[ra.tail] + ra.cost < dist[ra.head] for ra in arcs)
+
+
 def min_cycle_cost(residual: ResidualGraph):
     """Minimum cost of a genuine directed cycle in the residual graph.
 
@@ -506,22 +529,12 @@ def min_cycle_cost(residual: ResidualGraph):
     each residual arc, the cheapest return path that avoids the arc's own
     reverse copy).
     """
-    nodes, arcs = residual.nodes, residual.arcs
+    arcs = residual.arcs
     # Negative closed walks always contain a genuine negative cycle because
     # same-arc pairs never have negative total cost (convexity), so plain
-    # relaxation from an implicit super-source detects exactly them.
-    dist = {v: 0 for v in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for ra in arcs:
-            if dist[ra.tail] + ra.cost < dist[ra.head]:
-                dist[ra.head] = dist[ra.tail] + ra.cost
-                changed = True
-        if not changed:
-            break
-    else:
-        if any(dist[ra.tail] + ra.cost < dist[ra.head] for ra in arcs):
-            return NEGATIVE_CYCLE
+    # relaxation detects exactly them.
+    if _has_negative_cycle(residual.nodes, arcs):
+        return NEGATIVE_CYCLE
     best = POS_INF
     for ra in arcs:
         rest = [
@@ -534,6 +547,92 @@ def min_cycle_cost(residual: ResidualGraph):
         if back != POS_INF:
             best = min(best, back + ra.cost)
     return NO_CYCLE if best == POS_INF else best
+
+
+# ---------------------------------------------------------------------------
+# Solvability gate
+
+
+def _max_flow(network: FlowNetwork, supply: int) -> int:
+    """Maximum flow from a super-source joined to every supply node to a
+    super-sink joined from every demand node, each link carrying that
+    node's demand; an uncapacitated arc carries at most ``supply``, which
+    no cycle-free flow exceeds.  Edmonds-Karp (shortest augmenting paths),
+    so the number of augmentations does not depend on the capacities."""
+    slot = {v: i for i, v in enumerate(network.demands)}
+    source, sink = len(slot), len(slot) + 1
+    adj: list[list[int]] = [[] for _ in range(len(slot) + 2)]
+    head: list[int] = []  # residual edge e runs to head[e]; e ^ 1 is its reverse
+    cap: list[int] = []
+
+    def link(u: int, v: int, c: int) -> None:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    for a in network.arcs:
+        link(slot[a.tail], slot[a.head], supply if a.capacity is None else a.capacity)
+    for v, f in network.demands.items():
+        if f > 0:
+            link(source, slot[v], f)
+        elif f < 0:
+            link(slot[v], sink, -f)
+    total = 0
+    while total < supply:
+        via = {source: -1}  # node -> residual edge that reached it
+        frontier = [source]
+        while frontier and sink not in via:
+            reached = []
+            for u in frontier:
+                for e in adj[u]:
+                    w = head[e]
+                    if cap[e] and w not in via:
+                        via[w] = e
+                        reached.append(w)
+            frontier = reached
+        if sink not in via:
+            break
+        path = []
+        w = sink
+        while w != source:
+            path.append(via[w])
+            w = head[via[w] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        total += push
+    return total
+
+
+def check_solvable(network: FlowNetwork) -> None:
+    """Raise unless the instance has an optimal flow.
+
+    :class:`InfeasibleInstanceError` when no flow meets the demands (a
+    max-flow from the supply to the demand nodes falls short);
+    :class:`UnboundedObjectiveError` when a feasible instance's
+    uncapacitated arcs, priced at their last slope, close a negative cycle,
+    around which flow can grow without bound.  Without such a cycle the
+    objective is bounded below, so an optimum exists.  The messages are
+    those of the network simplex reference (:func:`oracles.exact_solve`).
+    """
+    supply = sum(f for f in network.demands.values() if f > 0)
+    if network.m == 0:
+        if supply:
+            raise InfeasibleInstanceError("nonzero demand with no arcs")
+        return
+    if _max_flow(network, supply) < supply:
+        raise InfeasibleInstanceError("no flow satisfies all node demands")
+    free = [
+        ResidualArc(a.id, True, a.tail, a.head, a.cost.slopes[-1])
+        for a in network.arcs
+        if a.capacity is None
+    ]
+    if _has_negative_cycle({v for ra in free for v in (ra.tail, ra.head)}, free):
+        raise UnboundedObjectiveError("negative cycle with infinite capacity found")
 
 
 # ---------------------------------------------------------------------------

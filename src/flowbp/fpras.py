@@ -12,7 +12,8 @@ of the true optimum.
 
 All randomness flows through a counter-based generator (Philox) keyed by
 the user seed plus (decimation round, restart attempt), so runs are
-reproducible and each restart consumes an independent stream.
+reproducible and each restart consumes an independent stream.  numpy,
+which supplies Philox, is imported on the first draw, not with the module.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
-
-from numpy.random import Generator, Philox, SeedSequence
+from typing import Optional
 
 from .bp_engine import _Rounds, gap_test
 from .errors import (
@@ -51,10 +50,12 @@ RESTART_BUDGET = 64
 #: Last probe round of the probe loop before the exact tail takes over.
 PROBE_CAP = 1 << 14
 
-SeedLike = Union[int, SeedSequence]
+SeedLike = "int | numpy.random.SeedSequence"
 
 
-def _seed_seq(seed: SeedLike, extra: tuple[int, ...] = ()) -> SeedSequence:
+def _seed_seq(seed: SeedLike, extra: tuple[int, ...] = ()) -> "numpy.random.SeedSequence":
+    from numpy.random import SeedSequence
+
     if isinstance(seed, SeedSequence):
         base = seed
         return SeedSequence(
@@ -96,6 +97,8 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     flow is already optimal: :class:`ZeroCostInstanceError`).  The draw is
     a pure function of ``seed``.
     """
+    from numpy.random import Generator, Philox
+
     eps = _as_fraction(eps)
     if not network.is_linear():
         raise ValueError("cost perturbation requires linear (single-piece) arc costs")

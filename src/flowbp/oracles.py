@@ -10,14 +10,19 @@ optimum the message-passing beliefs must reproduce.
 None of it reuses the message-passing machinery: the tree problems are
 solved by a plain integer dynamic program so the two routes stay
 independent.
+
+networkx is imported inside the functions that use it (the exact solver),
+so importing this module, or any command that never calls the exact
+solver, does not load it.  The exact solver first runs the integer gate
+:func:`flowmodel.check_solvable`, which raises on infeasible and unbounded
+instances; network simplex only ever sees instances with an optimum (on
+some unbounded ones it never terminates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     BudgetExceededError,
@@ -25,18 +30,21 @@ from .errors import (
     NotOptimalError,
     ResultCheckError,
     SizeBudgetError,
-    UnboundedObjectiveError,
 )
 from .flowmodel import (
     NEGATIVE_CYCLE,
     NO_CYCLE,
     FlowAssignment,
     FlowNetwork,
+    check_solvable,
     make_assignment,
     min_cycle_cost,
     residual_graph,
 )
 from .pwl import POS_INF
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ENUM_BUDGET = 10**7
 TREE_BUDGET = 10**5
@@ -50,6 +58,8 @@ def _piece_expanded_graph(network: FlowNetwork) -> tuple[nx.MultiDiGraph, int]:
     """The instance as a networkx multigraph, one parallel edge per cost
     piece (convexity makes the split exact), plus the constant objective
     offset ``sum of costs at zero flow``."""
+    import networkx as nx
+
     G = nx.MultiDiGraph()
     base = 0
     for v, f in network.demands.items():
@@ -71,19 +81,21 @@ def exact_solve(network: FlowNetwork) -> FlowAssignment:
 
     Raises :class:`InfeasibleInstanceError` when no feasible flow exists and
     :class:`UnboundedObjectiveError` when negative-cost structure with
-    unbounded capacity makes the objective unbounded below.
+    unbounded capacity makes the objective unbounded below (both from
+    :func:`flowmodel.check_solvable`, before network simplex runs).
     """
+    check_solvable(network)
     if network.m == 0:
-        if any(f != 0 for f in network.demands.values()):
-            raise InfeasibleInstanceError("nonzero demand with no arcs")
         return FlowAssignment({}, 0, True)
+    import networkx as nx
+
     G, base = _piece_expanded_graph(network)
     try:
         nx_cost, flow = nx.network_simplex(G)
-    except nx.NetworkXUnfeasible as exc:
-        raise InfeasibleInstanceError(str(exc)) from exc
-    except nx.NetworkXUnbounded as exc:
-        raise UnboundedObjectiveError(str(exc)) from exc
+    except (nx.NetworkXUnfeasible, nx.NetworkXUnbounded) as exc:
+        raise ResultCheckError(
+            f"network simplex contradicts the solvability gate: {exc}"
+        ) from exc
     flows = {a.id: 0 for a in network.arcs}
     for _, targets in flow.items():
         for _, keyed in targets.items():

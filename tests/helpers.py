@@ -28,6 +28,22 @@ def t1_network(c3: int = 3, d: int = 1) -> FlowNetwork:
     )
 
 
+#: Two nodes, no demand, and uncapacitated negative-cost arcs both ways:
+#: unbounded, and networkx's network simplex never terminates on it.
+HANG_NETWORK = FlowNetwork.from_data(
+    {1: 0, 2: 0},
+    [
+        (1, 1, 2, 2, 3),
+        (2, 2, 1, None, -2),
+        (3, 1, 2, 2, -1),
+        (4, 2, 1, 3, 2),
+        (5, 1, 2, None, -2),
+        (6, 2, 1, 2, -1),
+        (7, 2, 1, None, -3),
+    ],
+)
+
+
 def brute_min_pair(f: PwlConvex, g: PwlConvex, t, lo=-16, hi=16, per_unit=8):
     """min over x1 on the rational grid of f(x1) + g(t - x1)."""
     best = POS_INF

@@ -9,7 +9,7 @@ import pytest
 from flowbp import cli
 from flowbp.flowmodel import network_to_json_dict, parse_dimacs
 from flowbp.oracles import exact_solve, is_unique_optimum
-from helpers import t1_network
+from helpers import HANG_NETWORK, t1_network
 
 T1_DIMACS = """\
 p min 3 3
@@ -303,15 +303,61 @@ sys.exit(cli.main(["selftest", "--quick"]))
 """
 
 
-def test_selftest_fails_under_python_O_when_the_gap_verdict_is_wrong():
-    # the suites must not rely on assert, which python -O strips
+def _python(*args, timeout):
+    """Run a fresh interpreter with this checkout's ``src`` on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _INVERTED_GAP_SELFTEST],
-        capture_output=True, text=True, env=env, timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_selftest_fails_under_python_O_when_the_gap_verdict_is_wrong():
+    # the suites must not rely on assert, which python -O strips
+    proc = _python("-O", "-c", _INVERTED_GAP_SELFTEST, timeout=300)
     assert "optimize 1" in proc.stdout
     assert "[FAIL] triangle-instance" in proc.stdout
     assert proc.returncode == cli.EXIT_OTHER
+
+
+_CLI = "import sys; from flowbp import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["check-unique"], ["approx", "--epsilon", "1/2"]]
+)
+def test_unbounded_instance_fails_fast(tmp_path, argv):
+    # network simplex never terminates on this instance; the CLI's integer
+    # gate rejects it before anything else runs
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(network_to_json_dict(HANG_NETWORK)))
+    proc = _python("-c", _CLI, *argv, "--input", str(path), timeout=30)
+    assert proc.returncode == cli.EXIT_OTHER
+    assert json.loads(proc.stdout) == {"error": {
+        "kind": "other", "detail": "negative cycle with infinite capacity found"}}
+    assert "Traceback" not in proc.stderr
+
+
+_LOADED_AFTER = """
+import json, sys
+from flowbp import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in ("networkx", "numpy") if m in sys.modules)
+print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["solve", "--input", "T1"], []),
+        (["check-unique", "--input", "T1"], []),
+        (["gen", "--nodes", "5", "--arcs", "8", "--seed", "2"], []),
+        (["approx", "--epsilon", "1/2", "--input", "T1"], ["networkx", "numpy"]),
+    ],
+)
+def test_cold_start_loads_networkx_and_numpy_only_for_approx(t1_file, argv, loaded):
+    argv = [t1_file if a == "T1" else a for a in argv]
+    proc = _python("-c", _LOADED_AFTER, *argv, timeout=120)
+    assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "loaded": loaded}

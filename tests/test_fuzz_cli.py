@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowbp import cli, gen
-from flowbp.flowmodel import MAX_DIMACS_NODES, emit_dimacs, network_to_json_dict
+from flowbp.flowmodel import MAX_DIMACS_NODES, FlowNetwork, emit_dimacs, network_to_json_dict
 
 FUZZ = settings(
     derandomize=True,
@@ -40,6 +40,13 @@ SEED_DIMACS = [
 SEED_JSON = [
     network_to_json_dict(gen.random_network(2, n=4, m=7, cost_pieces=3)),
     network_to_json_dict(gen.random_network(3, n=3, m=4)),
+    # uncapacitated arcs with negative costs: unbounded as written (the
+    # cycle 1-2-1 costs -1), and one edit of arc 1 or 2 away from bounded
+    network_to_json_dict(FlowNetwork.from_data(
+        {1: 2, 2: 0, 3: -2},
+        [(1, 1, 2, None, 1), (2, 2, 1, None, -2), (3, 2, 3, None, -1),
+         (4, 3, 2, None, 2), (5, 1, 3, 2, 3)],
+    )),
 ]
 
 SMALL_INT = st.integers(-3, 12)

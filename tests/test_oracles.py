@@ -1,3 +1,8 @@
+import contextlib
+import random
+import signal
+
+import networkx as nx
 import pytest
 
 from flowbp.errors import (
@@ -6,8 +11,17 @@ from flowbp.errors import (
     NotOptimalError,
     ResultCheckError,
     SizeBudgetError,
+    UnboundedObjectiveError,
 )
-from flowbp.flowmodel import FlowNetwork, UNBOUNDED, preprocess_degree, objective_value
+from flowbp.flowmodel import (
+    FlowNetwork,
+    UNBOUNDED,
+    check_solvable,
+    network_from_json_dict,
+    objective_value,
+    parse_dimacs,
+    preprocess_degree,
+)
 from flowbp import oracles
 from flowbp.gen import random_network
 from flowbp.oracles import (
@@ -19,7 +33,8 @@ from flowbp.oracles import (
     tree_solve_free,
 )
 from flowbp.pwl import POS_INF, PwlConvex
-from helpers import t1_network
+from helpers import HANG_NETWORK, t1_network
+from test_fuzz_cli import SEED_DIMACS, SEED_JSON
 
 
 def test_exact_solve_t1():
@@ -31,12 +46,190 @@ def test_exact_solve_t1():
 
 def test_exact_solve_cross_check_raises(monkeypatch):
     # the objective cross-check must hold under python -O too
-    simplex = oracles.nx.network_simplex
+    simplex = nx.network_simplex
     monkeypatch.setattr(
-        oracles.nx, "network_simplex", lambda G: (simplex(G)[0] + 1, simplex(G)[1])
+        nx, "network_simplex", lambda G: (simplex(G)[0] + 1, simplex(G)[1])
     )
     with pytest.raises(ResultCheckError):
         exact_solve(t1_network())
+
+
+def test_exact_solve_flags_a_simplex_verdict_against_the_gate(monkeypatch):
+    def unfeasible(G):
+        raise nx.NetworkXUnfeasible("no flow satisfies all node demands")
+
+    monkeypatch.setattr(nx, "network_simplex", unfeasible)
+    with pytest.raises(ResultCheckError):
+        exact_solve(t1_network())
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise :class:`_OutOfTime` inside the block once ``seconds`` pass."""
+
+    def alarm(signum, frame):
+        raise _OutOfTime
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_solve_fails_fast_where_network_simplex_hangs():
+    # network simplex never terminates on this instance; the gate runs first
+    with _time_limit(10), pytest.raises(UnboundedObjectiveError):
+        exact_solve(HANG_NETWORK)
+
+
+# ---------------------------------------------------------------------------
+# The solvability gate against network simplex
+
+
+def _gate_outcome(net):
+    try:
+        check_solvable(net)
+    except InfeasibleInstanceError as exc:
+        return "infeasible", str(exc)
+    except UnboundedObjectiveError as exc:
+        return "unbounded", str(exc)
+    return "optimal", None
+
+
+def _simplex_outcome(net, limit_s: float = 2.0):
+    """Outcome class and message of networkx's network simplex on the
+    piece-expanded graph, or None when it runs out of time (on some
+    unbounded instances it never terminates)."""
+    G, _ = oracles._piece_expanded_graph(net)
+    try:
+        with _time_limit(limit_s):
+            nx.network_simplex(G)
+    except _OutOfTime:
+        return None
+    except nx.NetworkXUnfeasible as exc:
+        return "infeasible", str(exc)
+    except nx.NetworkXUnbounded as exc:
+        return "unbounded", str(exc)
+    return "optimal", None
+
+
+def _free_cycle_costs(net):
+    """Costs of the simple cycles of uncapacitated arcs, each arc priced
+    at its last slope (the cheapest of parallel arcs)."""
+    G = nx.DiGraph()
+    for a in net.arcs:
+        if a.capacity is None:
+            w = a.cost.slopes[-1]
+            if not G.has_edge(a.tail, a.head) or G[a.tail][a.head]["w"] > w:
+                G.add_edge(a.tail, a.head, w=w)
+    for cyc in nx.simple_cycles(G):
+        yield sum(G[u][v]["w"] for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+
+
+def _feasible_by_max_flow(net, *, free: bool = True) -> bool:
+    """networkx max-flow check; ``free=False`` leaves out uncapacitated arcs."""
+    G = nx.DiGraph()
+    G.add_nodes_from(["s", "t"])
+    supply = sum(f for f in net.demands.values() if f > 0)
+    for a in net.arcs:
+        if a.capacity is None and not free:
+            continue
+        cap = supply if a.capacity is None else a.capacity
+        if G.has_edge(a.tail, a.head):
+            G[a.tail][a.head]["capacity"] += cap
+        else:
+            G.add_edge(a.tail, a.head, capacity=cap)
+    for v, f in net.demands.items():
+        if f > 0:
+            G.add_edge("s", v, capacity=f)
+        elif f < 0:
+            G.add_edge(v, "t", capacity=-f)
+    return nx.maximum_flow_value(G, "s", "t") == supply
+
+
+def _gate_corpus(count: int, seed: int = 6):
+    """Random instances: n 2-7, m 1-12, 30% uncapacitated arcs, costs
+    -3..4.  Half take their demands from a random flow (feasible), half
+    from random transfers (often infeasible).  Every sixth uncapacitated
+    arc has a two-piece cost, so its last slope differs from its first."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(2, 7), rng.randint(1, 12)
+        demands = {v: 0 for v in range(1, n + 1)}
+        from_flow = rng.random() < 0.5
+        specs = []
+        for aid in range(1, m + 1):
+            tail, head = rng.sample(range(1, n + 1), 2)
+            cap = None if rng.random() < 0.3 else rng.randint(0, 4)
+            cost = rng.randint(-3, 4)
+            if cap is None and rng.random() < 1 / 6:
+                low, high = sorted(rng.sample(range(-3, 5), 2))
+                cost = PwlConvex((0, rng.randint(1, 3), POS_INF), (low, high), (0, 0))
+            specs.append((aid, tail, head, cap, cost))
+            if from_flow:
+                x = rng.randint(0, 4 if cap is None else cap)
+                demands[tail] += x
+                demands[head] -= x
+        if not from_flow:
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.sample(range(1, n + 1), 2)
+                k = rng.randint(1, 4)
+                demands[u] += k
+                demands[v] -= k
+        yield FlowNetwork.from_data(demands, specs)
+
+
+def test_solvability_gate_matches_network_simplex():
+    corpus = list(_gate_corpus(2400))
+    corpus += [parse_dimacs(text) for text in SEED_DIMACS]
+    corpus += [network_from_json_dict(d) for d in SEED_JSON]
+    corpus.append(HANG_NETWORK)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    infeasible_with_free_cycle = needs_free_arcs = 0
+    for net in corpus:
+        gate = _gate_outcome(net)
+        ref = _simplex_outcome(net)
+        if ref is None:
+            # the reference hangs: the gate must find the instance feasible
+            # and unbounded, and an independent search must agree
+            assert gate == ("unbounded", "negative cycle with infinite capacity found")
+            assert _feasible_by_max_flow(net)
+            assert min(_free_cycle_costs(net), default=0) < 0
+            continue
+        assert gate == ref, net.demands
+        seen[gate[0]] += 1
+        if gate[0] == "infeasible" and min(_free_cycle_costs(net), default=0) < 0:
+            infeasible_with_free_cycle += 1
+        if gate[0] != "infeasible" and not _feasible_by_max_flow(net, free=False):
+            needs_free_arcs += 1
+    assert min(seen.values()) >= 1, seen
+    # instances that tell the gate's two steps and their order apart
+    assert infeasible_with_free_cycle >= 5 and needs_free_arcs >= 100
+
+
+@pytest.mark.parametrize(
+    "demands, outcome",
+    [
+        ({}, ("optimal", None)),
+        ({1: 0, 2: 0}, ("optimal", None)),
+        ({1: 3, 2: -3}, ("infeasible", "nonzero demand with no arcs")),
+    ],
+)
+def test_solvability_gate_without_arcs(demands, outcome):
+    net = FlowNetwork.from_data(demands, [])
+    assert _gate_outcome(net) == outcome
+    if outcome[0] == "optimal":
+        assert exact_solve(net).flows == {}
+    else:
+        with pytest.raises(InfeasibleInstanceError, match=outcome[1]):
+            exact_solve(net)
 
 
 def test_exact_solve_t1_triple_supply():
