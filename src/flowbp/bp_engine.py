@@ -8,12 +8,17 @@ constraint (a signed infimal convolution), re-parametrized to the arc's own
 flow, and the arc's own cost is added.  All messages are exact
 piecewise-linear convex functions, so rounds are pure integer algebra.
 
-A node's outgoing messages share one prefix/suffix convolution pass: its
-incoming messages are reflected into one orientation once, and the
-combination that leaves out arc ``i`` is ``prefix[i-1] # suffix[i+1]``.
-That costs about ``3 * deg`` convolutions per node rather than
-``deg * (deg - 1)``, with identical results, because the infimal
-convolution is associative and commutative and ``PwlConvex`` is canonical.
+A node's outgoing messages come from one per-node kernel: its incoming
+messages are reflected into one orientation once, and
+:func:`~flowbp.pwl.leave_one_out` splits each of them once (per distinct
+tilt, almost always one), sorts all their pieces once, and stitches every
+arc's combination from that sorted list while skipping the arc's own
+pieces.  :func:`~flowbp.pwl.add_composed` then re-parametrizes each
+combination to its arc's flow and adds the arc cost in one merge.  A node
+of degree ``d`` with ``P`` incoming pieces costs ``d`` splits, one sort
+and ``2 * d`` results of ``O(P)`` work each, instead of a chain of about
+``3 * d`` pairwise convolutions.  The tables are identical to the
+pairwise ones, because ``PwlConvex`` is canonical.
 
 The per-arc belief combines the two directed messages and subtracts the arc
 cost once (each directed message already includes it); its minimizer is the
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Optional
 
 from .errors import InfeasibleFlowError
@@ -45,7 +49,7 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, PwlConvex, inf_convolve2, pointwise_diff
+from .pwl import POS_INF, PwlConvex, add_composed, leave_one_out, pointwise_diff
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 
@@ -106,31 +110,19 @@ def init_messages(network: FlowNetwork) -> MessageState:
     return MessageState(0, table)
 
 
-def _leave_one_out(fs: list[PwlConvex]) -> list[PwlConvex]:
-    """``out[i]`` is the infimal convolution of every ``fs[j]`` with ``j != i``.
-
-    Prefix and suffix chains share the work: ``3 * (d - 2)`` convolutions
-    for ``d`` operands instead of ``d * (d - 2)``.
-    """
-    if len(fs) < 2:
-        raise ValueError("a degree-1 node has no other messages; preprocess it away first")
-    prefix = list(accumulate(fs[:-1], inf_convolve2))  # fs[0] # ... # fs[i]
-    suffix = list(accumulate(reversed(fs[1:]), inf_convolve2))[::-1]  # fs[i+1] # ... # fs[-1]
-    return [suffix[0], *map(inf_convolve2, prefix, suffix[1:]), prefix[-1]]
-
-
 def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     """One synchronous round: every message recomputed from the previous
     table only.
 
     At each node w, every incoming message is reflected once where
     ``delta(w, e) = -1``, so the conservation constraint becomes a plain
-    sum, and the leave-one-out combinations of all of w's arcs come from
-    one prefix/suffix pass.
+    sum; one :func:`~flowbp.pwl.leave_one_out` pass gives the combinations
+    of all of w's arcs, and :func:`~flowbp.pwl.add_composed` re-parametrizes
+    each to its arc's flow and adds the arc cost in one merge.
     """
     prev = state.messages
     combined = {
-        w: _leave_one_out(
+        w: leave_one_out(
             [prev[(e.id, w)] if d == 1 else prev[(e.id, w)].compose_affine(-1, 0) for e, d in inc]
         )
         for w, inc in network.incident.items()
@@ -139,7 +131,7 @@ def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     return MessageState(
         state.round + 1,
         {
-            r.key: r.phi.add(combined[r.far][r.slot].compose_affine(r.scale, r.shift))
+            r.key: add_composed(r.phi, combined[r.far][r.slot], r.scale, r.shift)
             for r in _recipes(network)
         },
     )

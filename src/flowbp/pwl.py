@@ -13,6 +13,14 @@ convolution ``(f # g)(t) = min {f(x) + g(t - x)}``, and
 ``sum(a_i * x_i) = t``.  Both are exact and run in time linear (respectively
 near-linear) in the total number of pieces: the pieces of ``f # g`` are the
 pieces of ``f`` and ``g`` stitched together in slope order.
+
+Two kernels serve the message-passing engine.  :func:`leave_one_out`
+returns, for every operand, the convolution of all the others: each
+operand is split once and all pieces are sorted once, and each output is
+stitched from the sorted pieces while skipping its own operand's.
+:func:`add_composed` computes ``f + h(a*z + b)`` in one merge, without
+building the composed function.  Both give exactly what the pairwise
+operations give.
 """
 
 from __future__ import annotations
@@ -63,9 +71,10 @@ class PwlConvex:
     Public construction (``PwlConvex(...)``, :meth:`constant`,
     :meth:`point`, :meth:`linear`) and :meth:`from_json_dict` validate
     every input.  Results of the algebra (:func:`inf_convolve2`,
-    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are canonical by
-    construction (the convolution merges equal slopes while it stitches)
-    and take the internal :meth:`_trusted` path, which only settles.
+    :func:`leave_one_out`, :func:`add_composed`, :meth:`add`,
+    :meth:`compose_affine`, :meth:`tilt`) are canonical by construction
+    (the convolutions merge equal slopes while they stitch) and take the
+    internal :meth:`_trusted` path, which only settles.
     """
 
     __slots__ = ("breakpoints", "slopes", "anchor", "_values")
@@ -280,11 +289,7 @@ class PwlConvex:
         Raises :class:`EmptyDomainError` when the domains are disjoint
         (the sum would be ``+inf`` everywhere).
         """
-        lo = max(self.breakpoints[0], other.breakpoints[0])
-        hi = min(self.breakpoints[-1], other.breakpoints[-1])
-        if lo > hi:
-            raise EmptyDomainError("domains do not intersect")
-        return _pointwise(operator.add, self, other, lo, hi)
+        return add_composed(self, other, 1, 0)
 
     __add__ = add
 
@@ -294,28 +299,11 @@ class PwlConvex:
         For ``a = -1`` the breakpoints reflect and the slope sequence
         negates and reverses, so convexity is preserved exactly.
         """
-        if a not in (1, -1):
-            raise ValueError(f"affine scale must be +1 or -1, got {a!r}")
-        if not _is_int(b):
-            raise ValueError(f"affine shift must be an integer, got {b!r}")
+        bks, sls = _affine_image(self.breakpoints, self.slopes, a, b)
         if a == 1 and b == 0:
             return self
         z0, v0 = self.anchor
-        bks = self.breakpoints
-        lo_inf = bks[0] == NEG_INF
-        hi_inf = bks[-1] == POS_INF
-        finite = bks[lo_inf : len(bks) - hi_inf]  # only the ends may be infinite
-        if a == 1:
-            out, sls, z = [x - b for x in finite], self.slopes, z0 - b
-        else:
-            out = [b - x for x in reversed(finite)]
-            sls, z = [-s for s in reversed(self.slopes)], b - z0
-            lo_inf, hi_inf = hi_inf, lo_inf  # the reflection swaps the ends
-        if lo_inf:
-            out.insert(0, NEG_INF)
-        if hi_inf:
-            out.append(POS_INF)
-        return PwlConvex._trusted(out, sls, (z, v0))
+        return PwlConvex._trusted(bks, sls, (z0 - b if a == 1 else b - z0, v0))
 
     def tilt(self, slope: int) -> "PwlConvex":
         """The exact sum ``f(z) + slope * z`` (every piece slope shifts).
@@ -412,62 +400,112 @@ class PwlConvex:
         return f"PwlConvex(breakpoints={self.breakpoints}, slopes={self.slopes}, anchor={self.anchor})"
 
 
-def _pointwise(op, f: PwlConvex, g: PwlConvex, lo: Extended, hi: Extended) -> PwlConvex:
-    """``op(f, g)`` pointwise on ``[lo, hi]``, where both are finite.
+def _affine_image(bks, sls, a: int, b: int):
+    """Breakpoints and slopes of ``z -> f(a*z + b)`` from those of ``f``,
+    for ``a`` in ``{+1, -1}``.
 
-    ``op`` is ``operator.add`` or ``operator.sub``; it combines the slopes
-    on the union of the operands' breakpoints and the anchor heights.  A sum
-    of convex functions is convex, so it takes the trusted path; a
-    difference need not be, so it is validated.
+    For ``a = -1`` the breakpoints reflect and the slope sequence negates
+    and reverses; the infinite ends never meet the bigint shift.
     """
-    build = PwlConvex._trusted if op is operator.add else PwlConvex
-    if lo == hi:
-        return build((lo,), (), (lo, op(f.evaluate(lo), g.evaluate(lo))))
-    # The strict bounds also drop both infinities.
-    interior = sorted({b for b in f.breakpoints + g.breakpoints if lo < b < hi})
-    bks = [lo, *interior, hi]
-    sls = [op(f.right_derivative(b), g.right_derivative(b)) for b in bks[:-1]]
-    # The first finite breakpoint; 0 anchors two single pieces on all of R.
-    z = lo if lo != NEG_INF else (bks[1] if bks[1] != POS_INF else 0)
-    return build(bks, sls, (z, op(f.evaluate(z), g.evaluate(z))))
-
-
-def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
-    """Exact infimal convolution ``t -> min {f(x1) + g(x2) : x1 + x2 = t}``.
-
-    The result's pieces are the pieces of ``f`` and ``g`` stitched together
-    in slope order (so its piece count is at most ``p(f) + p(g)``), anchored
-    at the sum of tilted minimizers of the operands.  Runs in time linear in
-    the total piece count.
-
-    Raises :class:`UnboundedError` when the minimum is ``-inf`` for every
-    ``t``, i.e. when the operands decrease without bound in incompatible
-    directions (their slope ranges are disjoint).
-    """
-    flo, fhi = f._slope_bounds()
-    glo, ghi = g._slope_bounds()
-    s_lo = max(flo, glo)
-    s_hi = min(fhi, ghi)
-    if s_lo > s_hi:
-        raise UnboundedError("infimal convolution is -inf everywhere")
-    if s_lo > 0:
-        s_star = s_lo
-    elif s_hi < 0:
-        s_star = s_hi
+    if a not in (1, -1):
+        raise ValueError(f"affine scale must be +1 or -1, got {a!r}")
+    if not _is_int(b):
+        raise ValueError(f"affine shift must be an integer, got {b!r}")
+    if a == 1 and b == 0:
+        return bks, sls
+    lo_inf = bks[0] == NEG_INF
+    hi_inf = bks[-1] == POS_INF
+    finite = bks[lo_inf : len(bks) - hi_inf]  # only the ends may be infinite
+    if a == 1:
+        out = [x - b for x in finite]
     else:
-        s_star = 0
+        out = [b - x for x in reversed(finite)]
+        sls = [-s for s in reversed(sls)]
+        lo_inf, hi_inf = hi_inf, lo_inf  # the reflection swaps the ends
+    if lo_inf:
+        out.insert(0, NEG_INF)
+    if hi_inf:
+        out.append(POS_INF)
+    return out, sls
 
-    pf, vf, f_left, f_right = f._split_at_tilt(s_star)
-    pg, vg, g_left, g_right = g._split_at_tilt(s_star)
-    t0 = pf + pg
-    v0 = vf + vg
 
-    # Stitch outward from t0, merging pieces of equal slope (from f and g,
-    # or on both sides of t0) so the result is canonical.
+def _merge(op, fb, fs, gb, gs, lo: Extended, hi: Extended):
+    """Breakpoints and slopes of ``op(f, g)`` on ``[lo, hi]``, which lies
+    in both domains, by one two-pointer pass over the breakpoints of ``f``
+    (``fb``, ``fs``) and ``g`` (``gb``, ``gs``).
+
+    ``op`` combines the slopes piece by piece.  Also returns the point to
+    anchor at: ``lo`` or the first finite breakpoint, 0 on all of R.
+    """
+    if lo == hi:
+        return (lo,), (), lo
+    i = bisect_right(fb, lo)  # fb[i - 1] <= lo < fb[i]
+    j = bisect_right(gb, lo)
+    bks: list[Extended] = [lo]
+    sls: list[int] = []
+    while True:
+        sls.append(op(fs[i - 1], gs[j - 1]))
+        x = fb[i] if fb[i] < gb[j] else gb[j]
+        if x >= hi:
+            break
+        bks.append(x)
+        if fb[i] == x:
+            i += 1
+        if gb[j] == x:
+            j += 1
+    bks.append(hi)
+    z = lo if lo != NEG_INF else (bks[1] if bks[1] != POS_INF else 0)
+    return bks, sls, z
+
+
+def add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
+    """The sum ``z -> f(z) + h(a*z + b)`` for ``a`` in ``{+1, -1}``.
+
+    Equal to ``f.add(h.compose_affine(a, b))``, without building the
+    composed function: the affine image of ``h``'s breakpoints and slopes
+    is merged with ``f``'s in one pass over the intersection of the two
+    domains.  A sum of convex functions is convex, so the result takes the
+    trusted path.  Raises :class:`EmptyDomainError` when the domains are
+    disjoint (the sum would be ``+inf`` everywhere).
+    """
+    gb, gs = _affine_image(h.breakpoints, h.slopes, a, b)
+    fb = f.breakpoints
+    lo = max(fb[0], gb[0])
+    hi = min(fb[-1], gb[-1])
+    if lo > hi:
+        raise EmptyDomainError("domains do not intersect")
+    bks, sls, z = _merge(operator.add, fb, f.slopes, gb, gs, lo, hi)
+    return PwlConvex._trusted(
+        bks, sls, (z, f.evaluate(z) + h.evaluate(z + b if a == 1 else b - z))
+    )
+
+
+def _clamp0(s_lo: Extended, s_hi: Extended) -> int:
+    """The tilt a convolution is stitched at: the point of the (non-empty)
+    slope range ``[s_lo, s_hi]`` nearest 0."""
+    if s_lo > 0:
+        return s_lo
+    if s_hi < 0:
+        return s_hi
+    return 0
+
+
+def _stitch(t0: int, v0: int, left, right, skip: int) -> PwlConvex:
+    """The convolution whose tilted minimizer is ``t0`` with value ``v0``.
+
+    ``left`` holds the ``(slope, length, operand)`` pieces left of the
+    operands' split points in slope-descending order, ``right`` those to
+    the right in ascending order.  They are laid out outward from ``t0``,
+    leaving out the pieces of operand ``skip``; pieces of equal slope
+    merge (from two operands, or on both sides of ``t0``) so the result is
+    canonical.
+    """
     bks: list[Extended] = [t0]
     sls: list[int] = []
     cur: Extended = t0
-    for s, length in sorted(f_left + g_left, key=operator.itemgetter(0), reverse=True):
+    for s, length, j in left:
+        if j == skip:
+            continue
         cur = NEG_INF if length == POS_INF else cur - length
         if sls and sls[-1] == s:
             bks[-1] = cur
@@ -479,7 +517,9 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     bks.reverse()
     sls.reverse()
     cur = t0
-    for s, length in sorted(f_right + g_right, key=operator.itemgetter(0)):
+    for s, length, j in right:
+        if j == skip:
+            continue
         cur = POS_INF if length == POS_INF else cur + length
         if sls and sls[-1] == s:
             bks[-1] = cur
@@ -489,6 +529,103 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
         if cur == POS_INF:
             break
     return PwlConvex._trusted(bks, sls, (t0, v0))
+
+
+def _convolve_at(fs: Sequence[PwlConvex], bounds, s: int, skips) -> list[PwlConvex]:
+    """For each ``i`` in ``skips``, the convolution of every ``fs[j]`` with
+    ``j != i`` (``i = -1`` leaves none out), stitched at the tilt ``s``.
+
+    ``s`` must lie in the slope range of every operand that is not left
+    out.  Each operand whose range (``bounds``) holds ``s`` is split at it
+    once, and the tagged pieces are sorted once for all outputs; output
+    ``i`` is anchored at the sum of the split points and values minus its
+    own operand's.
+    """
+    splits = [f._split_at_tilt(s) if lo <= s <= hi else None for f, (lo, hi) in zip(fs, bounds)]
+    t0 = v0 = 0
+    left: list = []
+    right: list = []
+    for j, split in enumerate(splits):
+        if split is None:
+            continue
+        p, v, f_left, f_right = split
+        t0 += p
+        v0 += v
+        left += [(sl, length, j) for sl, length in f_left]
+        right += [(sl, length, j) for sl, length in f_right]
+    left.sort(key=operator.itemgetter(0), reverse=True)
+    right.sort(key=operator.itemgetter(0))
+    out = []
+    for i in skips:
+        own = splits[i] if i >= 0 else None
+        if own is None:
+            out.append(_stitch(t0, v0, left, right, i))
+        else:
+            out.append(_stitch(t0 - own[0], v0 - own[1], left, right, i))
+    return out
+
+
+def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
+    """Exact infimal convolution ``t -> min {f(x1) + g(x2) : x1 + x2 = t}``.
+
+    The result's pieces are the pieces of ``f`` and ``g`` stitched together
+    in slope order (so its piece count is at most ``p(f) + p(g)``), anchored
+    at the sum of tilted minimizers of the operands.  Runs in time linear in
+    the total piece count, up to one sort.
+
+    Raises :class:`UnboundedError` when the minimum is ``-inf`` for every
+    ``t``, i.e. when the operands decrease without bound in incompatible
+    directions (their slope ranges are disjoint).
+    """
+    bounds = (f._slope_bounds(), g._slope_bounds())
+    s_lo = max(bounds[0][0], bounds[1][0])
+    s_hi = min(bounds[0][1], bounds[1][1])
+    if s_lo > s_hi:
+        raise UnboundedError("infimal convolution is -inf everywhere")
+    return _convolve_at((f, g), bounds, _clamp0(s_lo, s_hi), (-1,))[0]
+
+
+def leave_one_out(fs: Sequence[PwlConvex]) -> list[PwlConvex]:
+    """``out[i]`` is the infimal convolution of every ``fs[j]`` with ``j != i``.
+
+    Equal to ``reduce(inf_convolve2, fs[:i] + fs[i + 1:])``, in one pass.
+    Output ``i``'s slope range is the intersection of the others' ranges,
+    read off the two largest lower and the two smallest upper slope
+    bounds, and it is stitched at the point of that range nearest 0, as in
+    :func:`inf_convolve2`.  The outputs need at most four distinct tilts,
+    and almost always one: every operand is split once per tilt, the
+    tagged pieces are sorted once per tilt, and output ``i`` skips its own
+    operand's pieces.  ``d`` operands with ``P`` pieces in total cost
+    ``d`` splits, one sort and ``d`` stitches of ``O(P)`` each.
+
+    Raises :class:`ValueError` for fewer than two operands, and
+    :class:`UnboundedError` when some output is ``-inf`` everywhere (the
+    slope ranges of its operands are disjoint).
+    """
+    d = len(fs)
+    if d < 2:
+        raise ValueError("leave-one-out needs at least two functions")
+    if d == 2:
+        return [fs[1], fs[0]]
+    bounds = [f._slope_bounds() for f in fs]
+    lows = [lo for lo, _ in bounds]
+    highs = [hi for _, hi in bounds]
+    top = max(range(d), key=lows.__getitem__)
+    bottom = min(range(d), key=highs.__getitem__)
+    next_low = max(lo for j, lo in enumerate(lows) if j != top)
+    next_high = min(hi for j, hi in enumerate(highs) if j != bottom)
+    groups: dict[int, list[int]] = {}
+    for i in range(d):
+        s_lo = next_low if i == top else lows[top]
+        s_hi = next_high if i == bottom else highs[bottom]
+        if s_lo > s_hi:
+            raise UnboundedError("infimal convolution is -inf everywhere")
+        groups.setdefault(_clamp0(s_lo, s_hi), []).append(i)
+    out: list = [None] * d
+    for s, members in groups.items():
+        for i, g in zip(members, _convolve_at(fs, bounds, s, members)):
+            out[i] = g
+    return out
 
 
 def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlConvex:
@@ -521,4 +658,5 @@ def pointwise_diff(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     """
     if g.breakpoints[0] > f.breakpoints[0] or g.breakpoints[-1] < f.breakpoints[-1]:
         raise EmptyDomainError("subtrahend is not finite on the minuend's domain")
-    return _pointwise(operator.sub, f, g, f.breakpoints[0], f.breakpoints[-1])
+    bks, sls, z = _merge(operator.sub, f.breakpoints, f.slopes, g.breakpoints, g.slopes, *f.domain)
+    return PwlConvex(bks, sls, (z, f.evaluate(z) - g.evaluate(z)))

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from . import bp_engine, fpras, gen, oracles
+from .errors import UnboundedError
 from .flowmodel import FlowNetwork, preprocess_degree
-from .pwl import POS_INF, PwlConvex, inf_convolve2
+from .pwl import NEG_INF, POS_INF, PwlConvex, inf_convolve2, leave_one_out
 
 
 def _check(cond, detail) -> None:
@@ -31,13 +33,21 @@ def _t1(c3: int = 3) -> FlowNetwork:
     )
 
 
-def _random_pwl(rng: random.Random) -> PwlConvex:
+def _random_pwl(rng: random.Random, open_ends: bool = False) -> PwlConvex:
     k = rng.randint(0, 4)
     if k == 0:
         return PwlConvex.point(rng.randint(-5, 5), rng.randint(-5, 5))
     bks = sorted(rng.sample(range(-5, 6), k + 1))
     sls = sorted(rng.sample(range(-5, 6), k))
-    return PwlConvex(bks, sls, (bks[0], rng.randint(-5, 5)))
+    value = rng.randint(-5, 5)
+    if open_ends:
+        ends = rng.randrange(4)
+        if ends & 1:
+            bks[0] = NEG_INF
+        if ends & 2:
+            bks[-1] = POS_INF
+    z = next((b for b in bks if b not in (NEG_INF, POS_INF)), 0)
+    return PwlConvex(bks, sls, (z, value))
 
 
 def _suite_pwl_grid(quick: bool) -> str:
@@ -60,7 +70,24 @@ def _suite_pwl_grid(quick: bool) -> str:
                     best = a + b
             _check(h.evaluate(t) == best, (f, g, t))
             checks += 1
-    return f"{pairs} convolutions, {checks} grid points"
+    # the engine's per-node kernel against pairwise convolution, on
+    # operands with half-infinite and whole-R domains
+    sets = 20 if quick else 100
+    unbounded = 0
+    for _ in range(sets):
+        fs = [_random_pwl(rng, open_ends=True) for _ in range(rng.randint(2, 6))]
+        try:
+            want = [reduce(inf_convolve2, fs[:i] + fs[i + 1:]) for i in range(len(fs))]
+        except UnboundedError:
+            want = None
+            unbounded += 1
+        try:
+            got = leave_one_out(fs)
+        except UnboundedError:
+            got = None
+        _check(got == want, ("leave_one_out", fs))
+    return (f"{pairs} convolutions, {checks} grid points, "
+            f"{sets} leave-one-out sets ({unbounded} unbounded)")
 
 
 def _suite_t1(quick: bool) -> str:

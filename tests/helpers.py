@@ -123,3 +123,15 @@ def random_pwl(rng: random.Random, allow_unbounded: bool = False) -> PwlConvex:
             bks[-1] = POS_INF
     anchor_x = next((b for b in bks if isinstance(b, int)), 0)
     return PwlConvex(bks, sls, (anchor_x, rng.randint(-5, 5)))
+
+
+def leave_one_out_tilts(fs):
+    """The tilt each output of ``pwl.leave_one_out(fs)`` is stitched at: the
+    point nearest 0 of the intersection of the other operands' slope
+    ranges (None where it is empty)."""
+    tilts = []
+    for i in range(len(fs)):
+        bounds = [f._slope_bounds() for j, f in enumerate(fs) if j != i]
+        lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+        tilts.append(None if lo > hi else lo if lo > 0 else hi if hi < 0 else 0)
+    return tilts

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flowbp import cli
+from flowbp import cli, pwl, selftest
 from flowbp.flowmodel import network_to_json_dict, parse_dimacs
 from flowbp.oracles import exact_solve, is_unique_optimum
 from helpers import HANG_NETWORK, t1_network
@@ -283,6 +283,13 @@ def test_selftest_quick(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "7/7 suites passed" in out
+
+
+def test_selftest_pwl_suite_checks_leave_one_out(monkeypatch):
+    # outputs in the wrong order: each one leaves out the wrong operand
+    monkeypatch.setattr(selftest, "leave_one_out", lambda fs: pwl.leave_one_out(fs)[::-1])
+    with pytest.raises(AssertionError, match="leave_one_out"):
+        selftest._suite_pwl_grid(True)
 
 
 _INVERTED_GAP_SELFTEST = """

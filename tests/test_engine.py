@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flowbp.bp_engine import (
@@ -13,12 +15,12 @@ from flowbp.bp_engine import (
     run,
     update_round,
 )
-from flowbp.flowmodel import FlowNetwork, iteration_bound, preprocess_degree
+from flowbp.flowmodel import FlowNetwork, check_solvable, iteration_bound, preprocess_degree
 from flowbp.fpras import perturb_costs
 from flowbp.gen import hard_instance, random_network
 from flowbp.oracles import build_tree, exact_solve, is_unique_optimum, tree_solve
-from flowbp.pwl import POS_INF, PwlConvex, scaled_interpolation
-from helpers import t1_network
+from flowbp.pwl import NEG_INF, POS_INF, PwlConvex, scaled_interpolation
+from helpers import leave_one_out_tilts, t1_network
 
 
 def test_init_messages_t1():
@@ -83,6 +85,36 @@ def _differential_cases():
     yield "hard-6", hard_instance(6)
     base = random_network(7200, n=6, m=14, c_max=4, cap_max=3)
     yield "perturbed", preprocess_degree(perturb_costs(base, "1/1000000000000000", 3).network)[0]
+    # uncapacitated arcs: messages with infinite domains; with negative
+    # costs, nodes whose leave-one-out outputs are stitched at different tilts
+    yield "uncapacitated", preprocess_degree(_uncapacitated(7306, share=0.5, discount=0))[0]
+    yield "uncapacitated-negative-3", preprocess_degree(_uncapacitated(7303, share=0.4, discount=2))[0]
+    yield "uncapacitated-negative-6", preprocess_degree(_uncapacitated(7306, share=0.4, discount=2))[0]
+
+
+def _uncapacitated(seed, share, discount):
+    """``random_network(seed, n=6, m=14)`` with about ``share`` of its arcs
+    made uncapacitated and ``discount`` taken off their cost."""
+    base = random_network(seed, n=6, m=14, c_max=5, cap_max=3)
+    rng = random.Random(seed)
+    specs = []
+    for a in base.arcs:
+        cap = None if rng.random() < share else a.capacity
+        cost = a.cost.slopes[0] - (discount if cap is None else 0)
+        specs.append((a.id, a.tail, a.head, cap, cost))
+    return FlowNetwork.from_data(dict(base.demands), specs)
+
+
+def _tilt_counts(net, state):
+    """Per node, the number of distinct tilts its leave-one-out outputs
+    are stitched at."""
+    prev = state.messages
+    return [
+        len(set(leave_one_out_tilts(
+            [prev[(e.id, w)] if d == 1 else prev[(e.id, w)].compose_affine(-1, 0) for e, d in inc]
+        )))
+        for w, inc in net.incident.items()
+    ]
 
 
 def test_differential_cases_cover_hard_shapes():
@@ -93,13 +125,26 @@ def test_differential_cases_cover_hard_shapes():
         len({(a.tail, a.head) for a in net.arcs}) < net.m for net in random_nets
     )  # parallel arcs
     assert cases["perturbed"].c_max > 2**64  # slopes beyond machine words
+    multi_tilt = 0
+    for name, net in cases.items():
+        if not name.startswith("uncapacitated"):
+            continue
+        check_solvable(net)
+        assert any(a.capacity is None for a in net.arcs)
+        state, infinite = init_messages(net), 0
+        for _ in range(8):
+            multi_tilt += sum(c > 1 for c in _tilt_counts(net, state))
+            state = update_round(net, state)
+            infinite += sum(NEG_INF in m.domain or POS_INF in m.domain for m in state.messages.values())
+        assert infinite > 0, name
+    assert multi_tilt > 0
 
 
 @pytest.mark.parametrize("name,net", list(_differential_cases()))
 def test_update_round_equals_literal_round(name, net):
-    # prefix/suffix leave-one-out must give the very same table, entry for
-    # entry and in the same key order, as convolving each message's
-    # sources from scratch
+    # the per-node leave-one-out kernel must give the very same table,
+    # entry for entry and in the same key order, as convolving each
+    # message's sources from scratch
     state = lit = init_messages(net)
     for _ in range(8):
         state = update_round(net, state)

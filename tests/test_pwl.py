@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbp.errors import (
     AnchorOutOfDomainError,
@@ -13,11 +16,13 @@ from flowbp.pwl import (
     NEG_INF,
     POS_INF,
     PwlConvex,
+    add_composed,
     inf_convolve2,
+    leave_one_out,
     pointwise_diff,
     scaled_interpolation,
 )
-from helpers import brute_min_pair, brute_min_signed, random_pwl
+from helpers import brute_min_pair, brute_min_signed, leave_one_out_tilts, random_pwl
 import random
 
 
@@ -381,3 +386,126 @@ def test_unbounded_operands_against_oracle():
             expect = brute_min_pair(f, g, t, lo=-40, hi=40, per_unit=1)
             assert h.evaluate(t) == expect, (f, g, t)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The per-node kernels against the pairwise operations
+
+KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=700)
+
+BIG = 2**1100  # far beyond float range
+
+
+@st.composite
+def pwl_functions(draw):
+    """Point indicators, bounded, half-infinite and whole-R domains, with
+    values (slopes and anchor heights) and breakpoints optionally scaled
+    by ``BIG``."""
+    k = draw(st.integers(0, 4))
+    value_scale = draw(st.sampled_from((1, BIG)))
+    x_scale = draw(st.sampled_from((1, 1, BIG)))
+    height = draw(st.integers(-6, 6)) * value_scale
+    if k == 0:
+        return PwlConvex.point(draw(st.integers(-6, 6)) * x_scale, height)
+    points = st.lists(st.integers(-6, 6), min_size=k + 1, max_size=k + 1, unique=True)
+    bks = [x * x_scale for x in sorted(draw(points))]
+    sls = [s * value_scale for s in sorted(draw(points))[:k]]
+    ends = draw(st.sampled_from(("finite", "left", "right", "both")))
+    if ends in ("left", "both"):
+        bks[0] = NEG_INF
+    if ends in ("right", "both"):
+        bks[-1] = POS_INF
+    anchor_x = next((b for b in bks if isinstance(b, int)), 0)
+    return PwlConvex(bks, sls, (anchor_x, height))
+
+
+def _same(got, want):
+    assert got == want and repr(got) == repr(want) and got._values == want._values, (got, want)
+
+
+def _reference_leave_one_out(fs):
+    return [reduce(inf_convolve2, fs[:i] + fs[i + 1:]) for i in range(len(fs))]
+
+
+def _check_leave_one_out(fs):
+    try:
+        want = _reference_leave_one_out(fs)
+    except UnboundedError:
+        with pytest.raises(UnboundedError):
+            leave_one_out(fs)
+        return
+    got = leave_one_out(fs)
+    assert len(got) == len(fs)
+    for g, w in zip(got, want):
+        _same(g, w)
+
+
+@KERNEL
+@given(st.lists(pwl_functions(), min_size=2, max_size=7))
+def test_leave_one_out_equals_pairwise_convolutions(fs):
+    _check_leave_one_out(fs)
+
+
+def test_leave_one_out_outputs_with_different_tilts():
+    down = PwlConvex.linear(-3, 0, POS_INF)  # slope range (-inf, -3]
+    up = PwlConvex((0, 2, POS_INF), (1, 5), (0, 0))  # (-inf, 5]
+    left = PwlConvex((NEG_INF, 0, 4), (-5, 2), (0, 1))  # [-5, inf)
+    steep = PwlConvex((NEG_INF, 1, POS_INF), (7 * BIG, 9 * BIG), (1, BIG))  # [7B, 9B]
+    cases = [
+        [down, up, left],
+        [up, left, PwlConvex.point(3, 2), down],
+        [steep, PwlConvex.constant(4).tilt(8 * BIG), up.tilt(9 * BIG), left.tilt(8 * BIG)],
+    ]
+    for fs in cases:
+        assert len(set(leave_one_out_tilts(fs))) > 1
+        _check_leave_one_out(fs)
+    # only the output that drops the point keeps two disjoint slope ranges
+    rising = PwlConvex((NEG_INF, 0), (2,), (0, 0))  # [2, inf)
+    fs = [down, rising, PwlConvex.point(1, 0)]
+    with pytest.raises(UnboundedError):
+        inf_convolve2(down, rising)
+    with pytest.raises(UnboundedError):
+        leave_one_out(fs)
+
+
+def test_leave_one_out_small_degrees():
+    f = PwlConvex((0, 1, 2), (-1, 2), (1, 0))
+    g = PwlConvex.linear(1, 0, POS_INF)
+    assert leave_one_out([f, g]) == [g, f]
+    with pytest.raises(ValueError):
+        leave_one_out([f])
+
+
+@KERNEL
+@given(
+    pwl_functions(),
+    pwl_functions(),
+    st.sampled_from((1, -1)),
+    st.one_of(st.integers(-8, 8), st.sampled_from((BIG, -BIG))),
+)
+def test_add_composed_equals_add_of_composition(f, h, a, b):
+    try:
+        want = f.add(h.compose_affine(a, b))
+    except EmptyDomainError:
+        with pytest.raises(EmptyDomainError):
+            add_composed(f, h, a, b)
+        return
+    got = add_composed(f, h, a, b)
+    _same(got, want)
+    # independent of the shared merge: canonical, and right on and next to
+    # every breakpoint
+    _same(PwlConvex(got.breakpoints, got.slopes, got.anchor), got)
+    for x in got.breakpoints:
+        if x not in (NEG_INF, POS_INF):
+            for z in (x - 1, x, x + 1):
+                parts = (f.evaluate(z), h.evaluate(a * z + b))
+                assert got.evaluate(z) == (POS_INF if POS_INF in parts else sum(parts)), z
+
+
+def test_add_composed_rejects_bad_affine_maps():
+    f = PwlConvex.linear(1, 0, 2)
+    for a, b in ((2, 0), (0, 1), (1, 0.0), (-1, Fraction(1, 2))):
+        with pytest.raises(ValueError):
+            add_composed(f, f, a, b)
+        with pytest.raises(ValueError):
+            f.compose_affine(a, b)
