@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InfeasibleFlowError
 from .flowmodel import (
@@ -65,42 +65,34 @@ class MessageState:
         return self.messages[(arc_id, endpoint)]
 
 
-@dataclass(frozen=True)
-class _Recipe:
+class _Recipe(NamedTuple):
     key: MessageKey
     phi: PwlConvex
     scale: int  # -delta(w, e) where w is the far endpoint
     shift: int  # demand at the far endpoint
     far: int  # the far endpoint w
     slot: int  # position of the arc in network.incident[w]
-    sources: tuple[MessageKey, ...]
-    signs: tuple[int, ...]
 
 
 # Callers step one network at a time and every CLI call parses a fresh
 # one, so a larger cache only keeps dead networks and their recipes alive.
 @lru_cache(maxsize=4)
 def _recipes(network: FlowNetwork) -> tuple[_Recipe, ...]:
-    out = []
-    for a in network.arcs:
-        for to_end, far_end in ((a.tail, a.head), (a.head, a.tail)):
-            far_delta = a.delta(far_end)
-            incident = network.incident[far_end]
-            slot = next(i for i, (other, _) in enumerate(incident) if other.id == a.id)
-            others = incident[:slot] + incident[slot + 1:]
-            out.append(
-                _Recipe(
-                    key=(a.id, to_end),
-                    phi=a.cost,
-                    scale=-far_delta,
-                    shift=network.demands[far_end],
-                    far=far_end,
-                    slot=slot,
-                    sources=tuple((other.id, far_end) for other, _ in others),
-                    signs=tuple(delta for _, delta in others),
-                )
-            )
-    return tuple(out)
+    slots = {
+        (a.id, w): i for w, inc in network.incident.items() for i, (a, _) in enumerate(inc)
+    }
+    return tuple(
+        _Recipe(
+            key=(a.id, to_end),
+            phi=a.cost,
+            scale=-a.delta(far_end),
+            shift=network.demands[far_end],
+            far=far_end,
+            slot=slots[(a.id, far_end)],
+        )
+        for a in network.arcs
+        for to_end, far_end in ((a.tail, a.head), (a.head, a.tail))
+    )
 
 
 def init_messages(network: FlowNetwork) -> MessageState:
@@ -289,7 +281,7 @@ def _same_shape(old: MessageState, new: MessageState) -> bool:
 
 
 def _invariant_tilt(
-    recipes, old: MessageState, new: MessageState
+    network: FlowNetwork, old: MessageState, new: MessageState
 ) -> Optional[dict[MessageKey, int]]:
     """Check that one round maps the observed affine offset to itself.
 
@@ -301,6 +293,7 @@ def _invariant_tilt(
     observed one.  Returns the shift per message key, or None when the
     pattern is not invariant.
     """
+    recipes = _recipes(network)
     alpha: dict[MessageKey, Optional[int]] = {}
     for r, f, g in zip(recipes, old.messages.values(), new.messages.values()):
         if bool(f.slopes) != bool(g.slopes):
@@ -309,9 +302,9 @@ def _invariant_tilt(
         alpha[r.key] = g.slopes[0] - f.slopes[0] if f.slopes else None
     for r in recipes:
         c = None
-        for k, sign in zip(r.sources, r.signs):
-            a = alpha[k]
-            if a is None:
+        for i, (e, sign) in enumerate(network.incident[r.far]):
+            a = alpha[(e.id, r.far)]
+            if i == r.slot or a is None:
                 continue
             cand = a * sign
             if c is None:
@@ -361,7 +354,7 @@ class _Rounds:
         elif self.orbit is None:
             t, check = self.state.round, self._checkpoint
             if _same_shape(check, self.state):
-                alpha = _invariant_tilt(_recipes(self.network), check, self.state)
+                alpha = _invariant_tilt(self.network, check, self.state)
                 if alpha is not None:
                     self.orbit = (check.round, t - check.round, alpha)
             if t & (t - 1) == 0:

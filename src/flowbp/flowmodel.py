@@ -1,11 +1,13 @@
 """Network data model: instances, validation, DIMACS and JSON ingestion,
 degree-1 preprocessing, residual graphs, cycle diagnostics, the
-solvability gate, iteration bounds, and the node-capacity splitting
-reduction.
+solvability gate, a min-cost-flow reference for linear costs, iteration
+bounds, and the node-capacity splitting reduction.
 
 Everything here is plain integer code with no third-party imports; the
 solvability gate (:func:`check_solvable`, a max-flow plus a negative-cycle
-test) is what the CLI runs before message passing.
+test) is what the CLI runs before message passing, and
+:func:`min_cost_flow` (successive shortest paths on the gate's max-flow
+network) is the exact reference the (1+eps) scheme consults.
 
 Conventions.  Flow on an arc is bounded by ``0 <= x_e <= u_e`` with
 ``u_e = None`` meaning unbounded.  Node demands follow the net-supply
@@ -18,8 +20,9 @@ Parallel arcs are permitted and are distinguished by arc id everywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import (
     BadCostDomainError,
@@ -550,40 +553,52 @@ def min_cycle_cost(residual: ResidualGraph):
 
 
 # ---------------------------------------------------------------------------
-# Solvability gate
+# Max-flow, min-cost flow and the solvability gate
 
 
-def _max_flow(network: FlowNetwork, supply: int) -> int:
-    """Maximum flow from a super-source joined to every supply node to a
-    super-sink joined from every demand node, each link carrying that
-    node's demand; an uncapacitated arc carries at most ``supply``, which
-    no cycle-free flow exceeds.  Edmonds-Karp (shortest augmenting paths),
-    so the number of augmentations does not depend on the capacities."""
-    slot = {v: i for i, v in enumerate(network.demands)}
-    source, sink = len(slot), len(slot) + 1
-    adj: list[list[int]] = [[] for _ in range(len(slot) + 2)]
-    head: list[int] = []  # residual edge e runs to head[e]; e ^ 1 is its reverse
-    cap: list[int] = []
+class _Residual:
+    """The residual network of an instance with a super-source joined to
+    every supply node and a super-sink joined from every demand node, each
+    link carrying that node's demand; an uncapacitated arc carries at most
+    ``supply``, which no cycle-free flow exceeds.
 
-    def link(u: int, v: int, c: int) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
+    Residual edge ``e`` runs to ``head[e]`` with capacity ``cap[e]`` and
+    cost ``cost[e]``, and ``e ^ 1`` is its reverse, so arc ``i`` of
+    ``network.arcs`` is edge ``2 * i`` and carries flow ``cap[2 * i + 1]``.
+    """
 
-    for a in network.arcs:
-        link(slot[a.tail], slot[a.head], supply if a.capacity is None else a.capacity)
-    for v, f in network.demands.items():
-        if f > 0:
-            link(source, slot[v], f)
-        elif f < 0:
-            link(slot[v], sink, -f)
-    total = 0
-    while total < supply:
-        via = {source: -1}  # node -> residual edge that reached it
-        frontier = [source]
+    def __init__(self, network: FlowNetwork, supply: int, costs=None):
+        slot = {v: i for i, v in enumerate(network.demands)}
+        self.supply = supply
+        self.source, self.sink = len(slot), len(slot) + 1
+        self.adj: list[list[int]] = [[] for _ in range(len(slot) + 2)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list[int] = []
+        self.potential = [0] * len(self.adj)
+        for a, c in zip(network.arcs, costs or [0] * network.m):
+            self._link(slot[a.tail], slot[a.head], supply if a.capacity is None else a.capacity, c)
+        for v, f in network.demands.items():
+            if f > 0:
+                self._link(self.source, slot[v], f, 0)
+            elif f < 0:
+                self._link(slot[v], self.sink, -f, 0)
+
+    def _link(self, u: int, v: int, c: int, cost: int) -> None:
+        for tail, head, cap, price in ((u, v, c, cost), (v, u, 0, -cost)):
+            self.adj[tail].append(len(self.head))
+            self.head.append(head)
+            self.cap.append(cap)
+            self.cost.append(price)
+
+    def fewest_arcs(self) -> dict[int, int]:
+        """Breadth-first search tree from the source: node -> the residual
+        edge that reached it (the source maps to -1).  Augmenting along it
+        is Edmonds-Karp, whose number of augmentations does not depend on
+        the capacities."""
+        adj, head, cap, sink = self.adj, self.head, self.cap, self.sink
+        via = {self.source: -1}
+        frontier = [self.source]
         while frontier and sink not in via:
             reached = []
             for u in frontier:
@@ -593,19 +608,83 @@ def _max_flow(network: FlowNetwork, supply: int) -> int:
                         via[w] = e
                         reached.append(w)
             frontier = reached
-        if sink not in via:
-            break
-        path = []
-        w = sink
-        while w != source:
-            path.append(via[w])
-            w = head[via[w] ^ 1]
-        push = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= push
-            cap[e ^ 1] += push
-        total += push
-    return total
+        return via
+
+    def cheapest(self) -> dict[int, int]:
+        """Shortest-path tree from the source under non-negative edge
+        costs: Dijkstra on the costs reduced by ``potential``, which then
+        absorbs the distances, so every residual edge among the reached
+        nodes keeps a non-negative reduced cost after augmenting along a
+        shortest path (nodes not reached now are never reached later)."""
+        pot, head, cap, cost = self.potential, self.head, self.cap, self.cost
+        dist = {self.source: 0}
+        via = {self.source: -1}
+        done = set()
+        heap = [(0, self.source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for e in self.adj[u]:
+                w = head[e]
+                if cap[e] and w not in done:
+                    nd = d + cost[e] + pot[u] - pot[w]
+                    if nd < dist.get(w, POS_INF):
+                        dist[w] = nd
+                        via[w] = e
+                        heapq.heappush(heap, (nd, w))
+        for v, d in dist.items():
+            pot[v] += d
+        return via
+
+    def augment(self, paths: Callable[[], dict[int, int]]) -> int:
+        """Push flow from the source along the path to the sink in each
+        tree ``paths()`` returns, until ``supply`` units are sent or the
+        sink is cut off; returns the units sent."""
+        cap, head = self.cap, self.head
+        total = 0
+        while total < self.supply:
+            via = paths()
+            if self.sink not in via:
+                break
+            path = []
+            w = self.sink
+            while w != self.source:
+                path.append(via[w])
+                w = head[via[w] ^ 1]
+            push = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= push
+                cap[e ^ 1] += push
+            total += push
+        return total
+
+
+def _supply(network: FlowNetwork) -> int:
+    return sum(f for f in network.demands.values() if f > 0)
+
+
+def min_cost_flow(network: FlowNetwork) -> dict[int, int]:
+    """An optimal flow of an instance with linear non-negative integer
+    costs, by successive shortest paths through :class:`_Residual` (the
+    solvability gate's max-flow network, priced at the arc costs).
+
+    With non-negative costs some optimal flow is cycle-free, so capping
+    uncapacitated arcs at the total supply keeps the optimum.  Raises
+    ``ValueError`` on piecewise or negative costs and
+    :class:`InfeasibleInstanceError` when the demands cannot be met.
+    """
+    if not network.is_linear():
+        raise ValueError("the min-cost-flow reference requires linear arc costs")
+    costs = [network.linear_slope(a) for a in network.arcs]
+    if any(c < 0 for c in costs):
+        raise ValueError("the min-cost-flow reference requires non-negative costs")
+    supply = _supply(network)
+    residual = _Residual(network, supply, costs)
+    if residual.augment(residual.cheapest) < supply:
+        raise InfeasibleInstanceError("no flow satisfies all node demands")
+    return {a.id: residual.cap[2 * i + 1] for i, a in enumerate(network.arcs)}
 
 
 def check_solvable(network: FlowNetwork) -> None:
@@ -619,12 +698,13 @@ def check_solvable(network: FlowNetwork) -> None:
     objective is bounded below, so an optimum exists.  The messages are
     those of the network simplex reference (:func:`oracles.exact_solve`).
     """
-    supply = sum(f for f in network.demands.values() if f > 0)
+    supply = _supply(network)
     if network.m == 0:
         if supply:
             raise InfeasibleInstanceError("nonzero demand with no arcs")
         return
-    if _max_flow(network, supply) < supply:
+    residual = _Residual(network, supply)
+    if residual.augment(residual.fewest_arcs) < supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
     free = [
         ResidualArc(a.id, True, a.tail, a.head, a.cost.slopes[-1])

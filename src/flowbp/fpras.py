@@ -12,13 +12,20 @@ of the true optimum.
 
 All randomness flows through a counter-based generator (Philox) keyed by
 the user seed plus (decimation round, restart attempt), so runs are
-reproducible and each restart consumes an independent stream.  numpy,
-which supplies Philox, is imported on the first draw, not with the module.
+reproducible and each restart consumes an independent stream.  The draw is
+numpy's ``Generator(Philox(SeedSequence(seed, spawn_key))).integers``
+stream, computed here in plain integer Python, so no draw imports numpy.
+When the belief gap test has not separated yet, the probe loop asks an
+integer min-cost-flow reference (:func:`flowmodel.min_cost_flow`) whether
+the perturbed optimum is unique; only an all-zero-cost leftover calls
+networkx's network simplex (:func:`oracles.exact_solve`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +46,7 @@ from .flowmodel import (
     check_feasible,
     linear_cost,
     make_assignment,
+    min_cost_flow,
     min_cycle_cost,
     preprocess_degree,
     residual_graph,
@@ -52,16 +60,121 @@ PROBE_CAP = 1 << 14
 
 SeedLike = "int | numpy.random.SeedSequence"
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
 
-def _seed_seq(seed: SeedLike, extra: tuple[int, ...] = ()) -> "numpy.random.SeedSequence":
-    from numpy.random import SeedSequence
 
-    if isinstance(seed, SeedSequence):
-        base = seed
-        return SeedSequence(
-            entropy=base.entropy, spawn_key=tuple(base.spawn_key) + extra
-        )
-    return SeedSequence(entropy=seed, spawn_key=extra)
+def _words(x) -> list[int]:
+    """``x`` as little-endian 32-bit words, the way numpy's ``SeedSequence``
+    reads entropy: a non-negative integer (0 is one word), or a sequence of
+    them with their words concatenated."""
+    if isinstance(x, Iterable) and not isinstance(x, (str, bytes)):
+        return [w for v in x for w in _words(v)]
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    out = [x & _M32]
+    while x := x >> 32:
+        out.append(x & _M32)
+    return out
+
+
+def _philox_key(entropy, spawn_key: tuple) -> tuple[int, int]:
+    """``SeedSequence(entropy, spawn_key=spawn_key).generate_state(2,
+    uint64)``: hash the words into a 4-word pool, mix every word into every
+    other, fold in the words past the pool, then hash the pool out again."""
+    run, spawn = _words(entropy), _words(spawn_key)
+    if spawn:
+        run += [0] * (4 - len(run))  # pad short entropy apart from the key
+    words = run + spawn
+    mult = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal mult
+        v ^= mult
+        mult = mult * 0x931E8875 & _M32
+        v = v * mult & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    mult = 0x8B51F9DD
+    state = []
+    for v in pool:
+        v ^= mult
+        mult = mult * 0x58F38DED & _M32
+        v = v * mult & _M32
+        state.append(v ^ v >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _philox_words(key: tuple[int, int]):
+    """numpy's Philox4x64-10 stream as 32-bit words: the 256-bit counter is
+    incremented before each 4-word block, and each 64-bit word yields its
+    low half first."""
+    counter = 0
+    while True:
+        counter += 1
+        c0, c1, c2, c3 = (counter >> s & _M64 for s in (0, 64, 128, 192))
+        k0, k1 = key
+        for _ in range(10):
+            p0 = 0xD2E7470EE14C6C93 * c0
+            p2 = 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p2 >> 64 ^ c1 ^ k0, p2 & _M64, p0 >> 64 ^ c3 ^ k1, p0 & _M64
+            k0 = k0 + 0x9E3779B97F4A7C15 & _M64
+            k1 = k1 + 0xBB67AE8584CAA73B & _M64
+        for w in (c0, c1, c2, c3):
+            yield w & _M32
+            yield w >> 32
+
+
+@dataclass(frozen=True)
+class _Seed:
+    """A noise stream: numpy's ``SeedSequence(entropy, spawn_key)``, which
+    rejects negative and non-integer entries at once."""
+
+    entropy: object
+    spawn_key: tuple
+
+    def __post_init__(self):
+        _words((self.entropy, self.spawn_key))
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        """``Generator(Philox(seed_sequence)).integers(low, high,
+        size=size)`` for ``high - low <= 2**32``: Lemire's bounded draw on
+        32-bit words, redrawing while the low word falls below
+        ``2**32 mod span``."""
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"draw range {span} is not within 1..2**32")
+        threshold = (1 << 32) % span
+        words = _philox_words(_philox_key(self.entropy, self.spawn_key))
+        out = []
+        for _ in range(size):
+            m = next(words) * span
+            while m & _M32 < threshold:
+                m = next(words) * span
+            out.append(low + (m >> 32))
+        return out
+
+
+def _seed_seq(seed: SeedLike, extra: tuple[int, ...] = ()) -> _Seed:
+    """The stream of ``seed`` spawned by ``extra``.  A ``SeedSequence``
+    (numpy's or a :class:`_Seed`) is read by its ``entropy`` and
+    ``spawn_key``; a negative integer raises ``ValueError``."""
+    if hasattr(seed, "entropy") and hasattr(seed, "spawn_key"):
+        seed, extra = seed.entropy, tuple(seed.spawn_key) + extra
+    return _Seed(seed, extra)
 
 
 def _as_fraction(eps) -> Fraction:
@@ -97,8 +210,6 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     flow is already optimal: :class:`ZeroCostInstanceError`).  The draw is
     a pure function of ``seed``.
     """
-    from numpy.random import Generator, Philox
-
     eps = _as_fraction(eps)
     if not network.is_linear():
         raise ValueError("cost perturbation requires linear (single-piece) arc costs")
@@ -110,10 +221,7 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     m, n = network.m, network.n
     t = Fraction(network.c_max) * eps / (4 * m * n)
     ss = _seed_seq(seed)
-    rng = Generator(Philox(ss))
-    order = sorted(slopes)
-    draws = rng.integers(1, 4 * m + 1, size=m)
-    noise = {aid: int(p) for aid, p in zip(order, draws)}
+    noise = dict(zip(sorted(slopes), ss.integers(1, 4 * m + 1, m)))
     arcs = []
     for a in network.arcs:
         scaled = 4 * m * math.floor(Fraction(slopes[a.id]) / t) + noise[a.id]
@@ -123,9 +231,7 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     perturbed = FlowNetwork(network.demands, arcs)
     if perturbed.c_max > 4 * m * math.floor(Fraction(network.c_max) / t) + 4 * m:
         raise ResultCheckError(f"perturbed c_max {perturbed.c_max} exceeds its bound")
-    return PerturbedInstance(
-        network, perturbed, t, noise, (ss.entropy, tuple(ss.spawn_key))
-    )
+    return PerturbedInstance(network, perturbed, t, noise, (ss.entropy, ss.spawn_key))
 
 
 def _cycle_gap(network: FlowNetwork, flows: dict[int, int]):
@@ -134,8 +240,14 @@ def _cycle_gap(network: FlowNetwork, flows: dict[int, int]):
 
 
 def _oracle_gap(pn: FlowNetwork) -> tuple[dict[int, int], object]:
-    """The reference optimum and its residual-cycle gap."""
-    flows = exact_solve(pn).flows
+    """The reference optimum and its residual-cycle gap, certified: the
+    flow is feasible and admits no negative residual cycle.  On a unique
+    optimum every exact solver returns the same flow, and on a tied one
+    every optimal flow has a zero-cost residual cycle, so the choice of
+    reference does not change what the probe loop decides."""
+    flows = min_cost_flow(pn)
+    if not check_feasible(pn, flows):
+        raise ResultCheckError("the reference optimum is infeasible")
     gap = _cycle_gap(pn, flows)
     if gap is NEGATIVE_CYCLE:
         raise ResultCheckError("the reference optimum admits a negative residual cycle")

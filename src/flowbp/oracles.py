@@ -13,10 +13,12 @@ independent.
 
 networkx is imported inside the functions that use it (the exact solver),
 so importing this module, or any command that never calls the exact
-solver, does not load it.  The exact solver first runs the integer gate
-:func:`flowmodel.check_solvable`, which raises on infeasible and unbounded
-instances; network simplex only ever sees instances with an optimum (on
-some unbounded ones it never terminates).
+solver, does not load it: ``solve`` and ``check-unique`` never do, and
+``approx`` does only for an all-zero-cost leftover (its probe loop uses
+the integer :func:`flowmodel.min_cost_flow`).  The exact solver first runs
+the integer gate :func:`flowmodel.check_solvable`, which raises on
+infeasible and unbounded instances; network simplex only ever sees
+instances with an optimum (on some unbounded ones it never terminates).
 """
 
 from __future__ import annotations

@@ -20,6 +20,16 @@ a 2 3 0 2 1
 a 1 3 0 2 3
 """
 
+#: T1 with every cost zero: approx has nothing to perturb.
+ZERO_COST_DIMACS = """\
+p min 3 3
+n 1 1
+n 3 -1
+a 1 2 0 2 0
+a 2 3 0 2 0
+a 1 3 0 2 0
+"""
+
 INFEASIBLE_DIMACS = """\
 p min 2 1
 n 1 2
@@ -361,10 +371,34 @@ print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
         (["solve", "--input", "T1"], []),
         (["check-unique", "--input", "T1"], []),
         (["gen", "--nodes", "5", "--arcs", "8", "--seed", "2"], []),
-        (["approx", "--epsilon", "1/2", "--input", "T1"], ["networkx", "numpy"]),
+        (["approx", "--epsilon", "1/2", "--input", "T1"], []),
+        # an all-zero-cost leftover is solved by network simplex
+        (["approx", "--epsilon", "1/2", "--input", "ZERO"], ["networkx"]),
     ],
 )
-def test_cold_start_loads_networkx_and_numpy_only_for_approx(t1_file, argv, loaded):
-    argv = [t1_file if a == "T1" else a for a in argv]
+def test_cold_start_loads_networkx_and_numpy_only_for_approx(tmp_path, t1_file, argv, loaded):
+    zero = tmp_path / "zero.dimacs"
+    zero.write_text(ZERO_COST_DIMACS)
+    argv = [{"T1": t1_file, "ZERO": str(zero)}.get(a, a) for a in argv]
     proc = _python("-c", _LOADED_AFTER, *argv, timeout=120)
     assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "loaded": loaded}
+
+
+@pytest.mark.parametrize(
+    "seed_args, env, detail",
+    [
+        (["--seed", "-1"], None, "expected non-negative integer"),
+        ([], "-1", "expected non-negative integer"),
+        ([], "abc", "invalid literal for int() with base 10: 'abc'"),
+    ],
+)
+def test_approx_seed_errors(capsys, t1_file, monkeypatch, seed_args, env, detail):
+    if env is None:
+        monkeypatch.delenv("FLOWBP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FLOWBP_SEED", env)
+    code, report = run_cli(
+        capsys, "approx", "--input", t1_file, "--epsilon", "1/2", *seed_args
+    )
+    assert code == cli.EXIT_OTHER
+    assert report == {"error": {"kind": "other", "detail": detail}}

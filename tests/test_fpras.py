@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from flowbp import fpras
 from flowbp.errors import (
@@ -24,6 +26,9 @@ from flowbp.fpras import (
     _cycle_gap,
     _decide_perturbed,
     _oracle_gap,
+    _philox_key,
+    _philox_words,
+    _seed_seq,
     approx_scheme,
     aprxmt,
     fix_arc,
@@ -85,6 +90,80 @@ def test_perturb_rejects_bad_inputs():
         perturb_costs(t1_network(), Fraction(3, 2), seed=1)
     with pytest.raises(ValueError):
         perturb_costs(t1_network(), Fraction(1, 1), seed=1)
+
+
+def _draw_cases(count: int, seed: int = 8):
+    """(entropy, spawn key, low, high, size): entropy 0, below 2**32,
+    multi-word, longer than the 4-word pool, or a sequence; 0-3 spawn key
+    entries, some at or above 2**32; sizes 1-3000 on the ``4m + 1`` range
+    ``perturb_costs`` draws from; and ranges up to 2**32 whose threshold
+    ``2**32 mod span`` is large enough to run the rejection loop."""
+    rng = random.Random(seed)
+    for k in range(count):
+        entropy = rng.choice([
+            0,
+            rng.randrange(1 << 32),
+            rng.randrange(1 << 32, 1 << 128),
+            rng.randrange(1 << 128, 1 << 400),
+            [rng.randrange(1 << 40) for _ in range(rng.randint(0, 6))],
+        ])
+        spawn_key = tuple(
+            rng.choice([rng.randrange(4), rng.randrange(1 << 32, 1 << 70)])
+            for _ in range(rng.randint(0, 3))
+        )
+        size = 3000 if k % 500 == 0 else rng.randint(1, 60)
+        low = rng.choice([1, 0, -5, 1 << 40])
+        span = rng.choice([
+            4 * size,
+            rng.randint(1, 1 << 32),
+            (1 << 31) + rng.randint(1, 1 << 20),
+            3 << 30,
+            1 << 32,
+            1,
+        ])
+        yield entropy, spawn_key, low, low + span, size
+
+
+def test_draw_equals_numpy_philox():
+    rejections = 0
+    for entropy, spawn_key, low, high, size in _draw_cases(3000):
+        ours = _seed_seq(entropy, spawn_key)
+        ref = Generator(Philox(SeedSequence(entropy, spawn_key=spawn_key)))
+        assert ours.integers(low, high, size) == ref.integers(low, high, size=size).tolist(), (
+            entropy, spawn_key, low, high, size)
+        span = high - low
+        words = _philox_words(_philox_key(entropy, spawn_key))
+        rejections += any(next(words) * span % (1 << 32) < (1 << 32) % span for _ in range(size))
+    assert rejections >= 100
+
+
+def test_seed_sequence_seeds_equal_int_seeds():
+    net = random_network(5, n=5, m=8, c_max=4, cap_max=3)
+    eps = Fraction(1, 2)
+    for seed, spawn_key in [(0, ()), (7, (2,)), ((1 << 128) + 1, (3, 1 << 40))]:
+        ss = SeedSequence(seed, spawn_key=spawn_key)
+        ours = perturb_costs(net, eps, ss)
+        assert ours == perturb_costs(net, eps, _seed_seq(seed, spawn_key))
+        assert ours.seed_key == (seed, spawn_key)
+        draws = Generator(Philox(ss)).integers(1, 4 * net.m + 1, size=net.m)
+        assert [ours.noise[aid] for aid in sorted(ours.noise)] == draws.tolist()
+    a = aprxmt(net, Fraction(1, 10), SeedSequence(11))
+    b = aprxmt(net, Fraction(1, 10), 11)
+    assert (a.assignment, a.perturbed, a.restarts) == (b.assignment, b.perturbed, b.restarts)
+
+
+def test_seed_errors_match_numpy():
+    for bad in (-1, [3, -1]):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            SeedSequence(bad)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            _seed_seq(bad)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _seed_seq(3, (-1,))
+    with pytest.raises(TypeError):
+        _seed_seq(1.5)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        approx_scheme(t1_network(), Fraction(1, 2), seed=-1)
 
 
 def test_aprxmt_t1_preserves_gap():
@@ -181,6 +260,16 @@ def test_aprxmt_rejects_infeasible_certificate(monkeypatch):
     )
     with pytest.raises(ResultCheckError):
         aprxmt(t1_network(), Fraction(1, 2), seed=1)
+
+
+def test_oracle_gap_certifies_the_reference_flow(monkeypatch):
+    pn = perturb_costs(t1_network(), Fraction(1, 2), seed=1).network
+    flows, gap = _oracle_gap(pn)
+    assert flows == {1: 1, 2: 1, 3: 0} and gap > 0
+    for wrong in ({1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 1}):  # infeasible, then not optimal
+        monkeypatch.setattr(fpras, "min_cost_flow", lambda net, wrong=wrong: dict(wrong))
+        with pytest.raises(ResultCheckError):
+            _oracle_gap(pn)
 
 
 def test_approx_scheme_reproducible():

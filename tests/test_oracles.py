@@ -1,5 +1,6 @@
 import contextlib
 import random
+from fractions import Fraction
 import signal
 
 import networkx as nx
@@ -17,12 +18,14 @@ from flowbp.flowmodel import (
     FlowNetwork,
     UNBOUNDED,
     check_solvable,
+    min_cost_flow,
     network_from_json_dict,
     objective_value,
     parse_dimacs,
     preprocess_degree,
 )
 from flowbp import oracles
+from flowbp.fpras import perturb_costs
 from flowbp.gen import random_network
 from flowbp.oracles import (
     build_tree,
@@ -230,6 +233,56 @@ def test_solvability_gate_without_arcs(demands, outcome):
     else:
         with pytest.raises(InfeasibleInstanceError, match=outcome[1]):
             exact_solve(net)
+
+
+def _perturbed_corpus(count: int, seed: int = 9):
+    """Perturbed random instances, as the probe loop sees them: n 2-8,
+    m n-1..n+10 (random endpoints repeat, giving parallel arcs), a third of
+    them with about 30% of the arcs made uncapacitated."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 8)
+        net = random_network(k + 9000, n=n, m=rng.randint(n - 1, n + 10),
+                             c_max=rng.randint(1, 5), cap_max=rng.randint(1, 4))
+        if k % 3 == 0:
+            net = FlowNetwork.from_data(net.demands, [
+                (a.id, a.tail, a.head, None if rng.random() < 0.3 else a.capacity,
+                 net.linear_slope(a))
+                for a in net.arcs
+            ])
+        if net.c_max == 0:
+            continue
+        eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
+        yield perturb_costs(net, eps, k).network
+
+
+def test_min_cost_flow_matches_network_simplex():
+    parallel = uncapacitated = unique = 0
+    corpus = list(_perturbed_corpus(1200))
+    assert len(corpus) >= 1000
+    for net in corpus:
+        ours = min_cost_flow(net)
+        ref = exact_solve(net)
+        assert objective_value(net, ours) == ref.objective
+        if is_unique_optimum(net, ref.flows):
+            unique += 1
+            assert ours == ref.flows
+        ends = [(a.tail, a.head) for a in net.arcs]
+        parallel += len(set(ends)) < len(ends)
+        uncapacitated += any(a.capacity is None for a in net.arcs)
+    assert parallel >= 100 and uncapacitated >= 100 and unique >= 900
+
+
+def test_min_cost_flow_input_checks():
+    with pytest.raises(ValueError, match="linear"):
+        min_cost_flow(FlowNetwork.from_data(
+            {1: 1, 2: -1}, [(1, 1, 2, 2, PwlConvex((0, 1, 2), (1, 2), (0, 0)))]))
+    with pytest.raises(ValueError, match="non-negative"):
+        min_cost_flow(FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, -1)]))
+    with pytest.raises(InfeasibleInstanceError):
+        min_cost_flow(FlowNetwork.from_data({1: 3, 2: -3}, [(1, 1, 2, 2, 1)]))
+    assert min_cost_flow(FlowNetwork.from_data({1: 0, 2: 0}, [(1, 1, 2, None, 0)])) == {1: 0}
+    assert min_cost_flow(t1_network()) == {1: 1, 2: 1, 3: 0}
 
 
 def test_exact_solve_t1_triple_supply():
