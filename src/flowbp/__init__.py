@@ -35,7 +35,6 @@ from .flowmodel import (
     Arc,
     FlowAssignment,
     FlowNetwork,
-    ResidualGraph,
     UNBOUNDED,
     check_solvable,
     emit_dimacs,
@@ -46,7 +45,6 @@ from .flowmodel import (
     network_to_json_dict,
     parse_dimacs,
     preprocess_degree,
-    residual_graph,
     split_node_capacities,
 )
 from .fpras import approx_scheme, aprxmt, fix_arc, perturb_costs
@@ -70,7 +68,6 @@ __all__ = [
     "FlowNetwork",
     "MessageState",
     "PwlConvex",
-    "ResidualGraph",
     "RunResult",
     "UNBOUNDED",
     "UniquenessResult",
@@ -98,7 +95,6 @@ __all__ = [
     "perturb_costs",
     "preprocess_degree",
     "random_network",
-    "residual_graph",
     "run",
     "scaled_interpolation",
     "split_node_capacities",

@@ -187,7 +187,6 @@ class RunResult:
     state: Optional[MessageState]
     rounds_used: int
     executed_rounds: int
-    fixed_flows: dict[int, int]
     piece_totals: list[int] = field(default_factory=list)
 
 
@@ -233,7 +232,7 @@ def run(
         assignment = _merged_assignment(network, fixed, None)
         if not assignment.feasible:
             raise InfeasibleFlowError("forced flows are not feasible")
-        return RunResult(assignment, None, 0, 0, fixed)
+        return RunResult(assignment, None, 0, 0)
     total = iteration_bound(reduced, "convergence") if rounds is None else rounds
     driver = _Rounds(reduced, on_round)
     last = total
@@ -252,7 +251,7 @@ def run(
                 last_flows, streak = flows, 0
     assignment = _merged_assignment(network, fixed, _read_off(reduced, beliefs))
     piece_totals = [driver.piece_total(r) for r in range(1, last + 1)]
-    return RunResult(assignment, driver.state, total, driver.executed, fixed, piece_totals)
+    return RunResult(assignment, driver.state, total, driver.executed, piece_totals)
 
 
 def dump_round(state: MessageState) -> dict:
@@ -391,13 +390,6 @@ class _Rounds:
         return self.piece_totals[r - 1]
 
 
-def beliefs_at_round(reduced: FlowNetwork, target: int) -> tuple[dict[int, PwlConvex], int]:
-    """Round-``target`` beliefs, each exact up to an additive constant, and
-    the number of rounds executed to get them (see :class:`_Rounds`)."""
-    driver = _Rounds(reduced)
-    return driver.beliefs(target), driver.executed
-
-
 def gap_test(
     reduced: FlowNetwork, beliefs: dict[int, PwlConvex], threshold: int
 ) -> tuple[bool, FlowAssignment]:
@@ -439,11 +431,11 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
         assignment = _merged_assignment(network, fixed, None)
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
-    beliefs, executed = beliefs_at_round(reduced, total)
+    driver = _Rounds(reduced)
     unique, reduced_assignment = gap_test(
-        reduced, beliefs, reduced.n * reduced.c_max
+        reduced, driver.beliefs(total), reduced.n * reduced.c_max
     )
     assignment = None
     if unique:
         assignment = _merged_assignment(network, fixed, reduced_assignment)
-    return UniquenessResult(unique, assignment, total, executed)
+    return UniquenessResult(unique, assignment, total, driver.executed)

@@ -1,11 +1,14 @@
 """Network data model: instances, validation, DIMACS and JSON ingestion,
-degree-1 preprocessing, residual graphs, cycle diagnostics, the
-solvability gate, a min-cost-flow reference for linear costs, iteration
-bounds, and the node-capacity splitting reduction.
+degree-1 preprocessing, the residual-cycle certificate, the solvability
+gate, a min-cost-flow reference for linear costs, iteration bounds, and
+the node-capacity splitting reduction.
 
-Everything here is plain integer code with no third-party imports; the
-solvability gate (:func:`check_solvable`, a max-flow plus a negative-cycle
-test) is what the CLI runs before message passing, and
+Everything here is plain integer code with no third-party imports.  The
+certificate :func:`min_cycle_cost` is the cheapest genuine residual cycle
+at a flow, returned as an extended integer (an int, ``-inf`` or ``+inf``),
+so its readers decide optimality and uniqueness by comparing it with 0.
+The solvability gate (:func:`check_solvable`, a max-flow plus a
+negative-cycle test) is what the CLI runs before message passing, and
 :func:`min_cost_flow` (successive shortest paths on the gate's max-flow
 network) is the exact reference the (1+eps) scheme consults.
 
@@ -38,7 +41,7 @@ from .errors import (
     SelfLoopError,
     UnboundedObjectiveError,
 )
-from .pwl import POS_INF, PwlConvex
+from .pwl import NEG_INF, POS_INF, PwlConvex
 
 #: Sentinel for an uncapacitated arc (a real value, never a large number).
 UNBOUNDED = None
@@ -436,120 +439,76 @@ def preprocess_degree(network: FlowNetwork) -> tuple[FlowNetwork, dict[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Residual graphs and cycle diagnostics
+# The residual-cycle certificate
 
 
-@dataclass(frozen=True)
-class ResidualArc:
-    arc_id: int
-    forward: bool
-    tail: int
-    head: int
-    cost: int
-
-
-@dataclass(frozen=True)
-class ResidualGraph:
-    nodes: tuple[int, ...]
-    arcs: tuple[ResidualArc, ...]
-
-
-def residual_graph(network: FlowNetwork, flows: Mapping[int, int]) -> ResidualGraph:
-    """Residual arcs around a feasible flow.
-
-    A forward arc exists where flow can still increase, priced at the cost's
-    right derivative; a backward arc where it can decrease, priced at minus
-    the left derivative.  For linear costs these are ``c_e`` and ``-c_e``.
-    """
-    if not check_feasible(network, flows):
-        raise InfeasibleFlowError("flow violates bounds or conservation")
-    rarcs = []
-    for a in network.arcs:
-        x = flows.get(a.id, 0)
-        hi = POS_INF if a.capacity is None else a.capacity
-        if x < hi:
-            rarcs.append(ResidualArc(a.id, True, a.tail, a.head, a.cost.right_derivative(x)))
-        if x > 0:
-            rarcs.append(ResidualArc(a.id, False, a.head, a.tail, -a.cost.left_derivative(x)))
-    return ResidualGraph(tuple(sorted(network.demands)), tuple(rarcs))
-
-
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-#: min_cycle_cost outcome when the residual graph has no directed cycle.
-NO_CYCLE = _Sentinel("NO_CYCLE")
-#: min_cycle_cost outcome when some directed cycle has negative cost.
-NEGATIVE_CYCLE = _Sentinel("NEGATIVE_CYCLE")
-
-
-def _bellman_ford(nodes, arcs, src):
-    dist = {v: POS_INF for v in nodes}
-    dist[src] = 0
-    for _ in range(len(nodes) - 1):
+def _relax(dist: dict, edges, passes: int) -> bool:
+    """Bellman-Ford: up to ``passes`` rounds of relaxing ``(tail, head,
+    cost)`` edges into ``dist`` in place, stopping after a round that
+    changes nothing.  Returns whether the last round still changed a
+    distance (never after zero rounds).  Nodes at ``+inf`` are skipped:
+    adding a big integer cost to a float infinity overflows."""
+    changed = False
+    for _ in range(passes):
         changed = False
-        for ra in arcs:
-            d = dist[ra.tail]
-            if d != POS_INF and d + ra.cost < dist[ra.head]:
-                dist[ra.head] = d + ra.cost
+        for tail, head, cost in edges:
+            d = dist[tail]
+            if d != POS_INF and d + cost < dist[head]:
+                dist[head] = d + cost
                 changed = True
         if not changed:
             break
-    return dist
+    return changed
 
 
-def _has_negative_cycle(nodes, arcs) -> bool:
-    """Whether ``arcs`` (with ``tail``, ``head`` and integer ``cost``) close
-    a negative-cost directed cycle: Bellman-Ford relaxation from an
-    implicit super-source joined to every node at cost 0."""
-    dist = {v: 0 for v in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for ra in arcs:
-            if dist[ra.tail] + ra.cost < dist[ra.head]:
-                dist[ra.head] = dist[ra.tail] + ra.cost
-                changed = True
-        if not changed:
-            return False
-    return any(dist[ra.tail] + ra.cost < dist[ra.head] for ra in arcs)
+def _has_negative_cycle(nodes, edges) -> bool:
+    """Whether ``(tail, head, cost)`` edges over ``nodes`` close a
+    negative-cost directed cycle.  Relaxation from an implicit super-source
+    joined to every node at cost 0 settles within ``len(nodes) - 1``
+    rounds unless they do, so round ``len(nodes)`` still changes a
+    distance exactly then."""
+    return _relax(dict.fromkeys(nodes, 0), edges, len(nodes))
 
 
-def min_cycle_cost(residual: ResidualGraph):
-    """Minimum cost of a genuine directed cycle in the residual graph.
+def min_cycle_cost(network: FlowNetwork, flows: Mapping[int, int]):
+    """The residual-cycle certificate of a feasible flow, as an extended
+    integer: the minimum cost of a genuine directed residual cycle, ``-inf``
+    when some genuine cycle is negative (the flow is not optimal) and
+    ``+inf`` when there is none.  So ``< 0`` reads "not optimal", ``== 0``
+    "optimal but tied" and ``> 0`` "the unique optimum".
 
-    The two residual copies of one arc traverse the same flow change in
-    opposite directions, so a "cycle" made of exactly that pair moves no
-    flow; such pairs are excluded.  Returns :data:`NEGATIVE_CYCLE` when any
-    genuine cycle is negative, :data:`NO_CYCLE` when the graph is acyclic,
-    and the exact minimum cycle cost otherwise (shortest-path based: for
-    each residual arc, the cheapest return path that avoids the arc's own
-    reverse copy).
+    Arc ``i`` of ``network.arcs`` has a forward residual copy ``2 * i``
+    where its flow can still increase, priced at the cost's right
+    derivative, and a backward copy ``2 * i + 1`` where it can decrease,
+    priced at minus the left derivative (``c_e`` and ``-c_e`` for linear
+    costs).  The two copies of one arc move the same flow in opposite
+    directions, so a "cycle" of exactly that pair changes nothing: the
+    cheapest cycle through copy ``e`` is ``e`` plus the cheapest return
+    path that avoids its twin ``e ^ 1``.  Raises
+    :class:`InfeasibleFlowError` on an infeasible flow.
     """
-    arcs = residual.arcs
+    if not check_feasible(network, flows):
+        raise InfeasibleFlowError("flow violates bounds or conservation")
+    copies: dict[int, tuple[int, int, int]] = {}
+    for i, a in enumerate(network.arcs):
+        x = flows.get(a.id, 0)
+        if x < (POS_INF if a.capacity is None else a.capacity):
+            copies[2 * i] = (a.tail, a.head, a.cost.right_derivative(x))
+        if x > 0:
+            copies[2 * i + 1] = (a.head, a.tail, -a.cost.left_derivative(x))
     # Negative closed walks always contain a genuine negative cycle because
     # same-arc pairs never have negative total cost (convexity), so plain
     # relaxation detects exactly them.
-    if _has_negative_cycle(residual.nodes, arcs):
-        return NEGATIVE_CYCLE
+    if _has_negative_cycle(network.demands, copies.values()):
+        return NEG_INF
     best = POS_INF
-    for ra in arcs:
-        rest = [
-            other
-            for other in arcs
-            if not (other.arc_id == ra.arc_id and other.forward != ra.forward)
-        ]
-        dist = _bellman_ford(residual.nodes, rest, ra.head)
-        back = dist[ra.tail]
-        if back != POS_INF:
-            best = min(best, back + ra.cost)
-    return NO_CYCLE if best == POS_INF else best
+    for e, (tail, head, cost) in copies.items():
+        dist = dict.fromkeys(network.demands, POS_INF)
+        dist[head] = 0
+        _relax(dist, [c for f, c in copies.items() if f != e ^ 1], network.n - 1)
+        if dist[tail] != POS_INF:
+            best = min(best, dist[tail] + cost)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +665,8 @@ def check_solvable(network: FlowNetwork) -> None:
     residual = _Residual(network, supply)
     if residual.augment(residual.fewest_arcs) < supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
-    free = [
-        ResidualArc(a.id, True, a.tail, a.head, a.cost.slopes[-1])
-        for a in network.arcs
-        if a.capacity is None
-    ]
-    if _has_negative_cycle({v for ra in free for v in (ra.tail, ra.head)}, free):
+    free = [(a.tail, a.head, a.cost.slopes[-1]) for a in network.arcs if a.capacity is None]
+    if _has_negative_cycle({v for tail, head, _ in free for v in (tail, head)}, free):
         raise UnboundedObjectiveError("negative cycle with infinite capacity found")
 
 

@@ -38,8 +38,6 @@ from .errors import (
     ZeroCostInstanceError,
 )
 from .flowmodel import (
-    NEGATIVE_CYCLE,
-    NO_CYCLE,
     Arc,
     FlowAssignment,
     FlowNetwork,
@@ -49,7 +47,6 @@ from .flowmodel import (
     min_cost_flow,
     min_cycle_cost,
     preprocess_degree,
-    residual_graph,
 )
 from .oracles import exact_solve
 
@@ -57,6 +54,9 @@ RESTART_BUDGET = 64
 
 #: Last probe round of the probe loop before the exact tail takes over.
 PROBE_CAP = 1 << 14
+
+#: Rounds at which the probe loop applies the gap test: 8, 16, ..., PROBE_CAP.
+_PROBES = tuple(1 << k for k in range(3, PROBE_CAP.bit_length()))
 
 SeedLike = "int | numpy.random.SeedSequence"
 
@@ -195,7 +195,6 @@ class PerturbedInstance:
     maximum is polynomial in ``m``, ``n`` and ``1/eps``.
     """
 
-    original: FlowNetwork
     network: FlowNetwork
     granularity: Fraction
     noise: dict[int, int]
@@ -231,25 +230,20 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
     perturbed = FlowNetwork(network.demands, arcs)
     if perturbed.c_max > 4 * m * math.floor(Fraction(network.c_max) / t) + 4 * m:
         raise ResultCheckError(f"perturbed c_max {perturbed.c_max} exceeds its bound")
-    return PerturbedInstance(network, perturbed, t, noise, (ss.entropy, ss.spawn_key))
-
-
-def _cycle_gap(network: FlowNetwork, flows: dict[int, int]):
-    """Minimum genuine residual cycle cost at a feasible flow."""
-    return min_cycle_cost(residual_graph(network, flows))
+    return PerturbedInstance(perturbed, t, noise, (ss.entropy, ss.spawn_key))
 
 
 def _oracle_gap(pn: FlowNetwork) -> tuple[dict[int, int], object]:
-    """The reference optimum and its residual-cycle gap, certified: the
-    flow is feasible and admits no negative residual cycle.  On a unique
+    """The reference optimum and its residual-cycle certificate, checked:
+    the flow is feasible and the certificate is not negative.  On a unique
     optimum every exact solver returns the same flow, and on a tied one
     every optimal flow has a zero-cost residual cycle, so the choice of
     reference does not change what the probe loop decides."""
     flows = min_cost_flow(pn)
     if not check_feasible(pn, flows):
         raise ResultCheckError("the reference optimum is infeasible")
-    gap = _cycle_gap(pn, flows)
-    if gap is NEGATIVE_CYCLE:
+    gap = min_cycle_cost(pn, flows)
+    if gap < 0:
         raise ResultCheckError("the reference optimum admits a negative residual cycle")
     return flows, gap
 
@@ -261,18 +255,20 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     belief gap test at threshold ``n * c_max``; at that horizon the test
     passes iff the instance has a unique optimum, and the estimate then
     *is* that optimum.  Both facts let us shortcut the astronomical round
-    count without changing any output:
+    count without changing any output.  The recursion is probed once at
+    each round of the fixed schedule 8, 16, ..., ``PROBE_CAP`` (the round
+    driver fast-forwards them along a verified orbit):
 
-    * probe the recursion at geometrically spaced rounds (the round
-      driver fast-forwards them along a verified orbit); when the gap test
-      passes and the estimate has no zero-or-negative genuine residual
-      cycle, the estimate is certified as the unique optimum, which is
-      exactly the full run's answer;
-    * a zero-cost residual cycle at an optimal estimate certifies multiple
-      optima, which is exactly the full run's "not unique";
-    * past the probe cap, the reference solver decides uniqueness by the
-      same residual-cycle criterion, again reproducing the full run's
-      outcome (this exact tail triggers only on rare slow-mixing draws).
+    * when the gap test passes at a feasible estimate whose residual-cycle
+      certificate is not negative, the estimate is optimal, and the
+      certificate decides: positive is the unique optimum, exactly the
+      full run's answer; zero is a tie, exactly its "not unique";
+    * when the gap test fails, and at the last probe, the reference
+      solver's certificate is consulted once and kept: zero is a tie,
+      and a positive one only says the recursion has not separated the
+      beliefs yet;
+    * past the last probe the reference optimum is the unique one (this
+      exact tail triggers only on rare slow-mixing draws).
 
     Returns (unique, optimal flows when unique, rounds executed).
     """
@@ -282,33 +278,20 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
         return True, dict(fixed), 0
     threshold = pn.n * pn.c_max
     driver = _Rounds(reduced)
-    oracle_gap = None
-    oracle_flows = None
-    probe = 8
-    while True:
-        cand_unique, est = gap_test(reduced, driver.beliefs(probe), threshold)
-        if cand_unique:
+    oracle = None  # (reference optimum, its certificate) once consulted
+    for probe in _PROBES:
+        passed, est = gap_test(reduced, driver.beliefs(probe), threshold)
+        if passed:
             flows = {**fixed, **est.flows}
             if check_feasible(pn, flows):
-                gap = _cycle_gap(pn, flows)
-                if gap is NO_CYCLE or (gap is not NEGATIVE_CYCLE and gap > 0):
-                    return True, flows, driver.executed
-                if gap is not NEGATIVE_CYCLE:
-                    return False, None, driver.executed  # optimal but tied
-        else:
-            if oracle_gap is None:
-                oracle_flows, oracle_gap = _oracle_gap(pn)
-            if oracle_gap is not NO_CYCLE and oracle_gap == 0:
-                return False, None, driver.executed
-            # the optimum is unique; the recursion just has not separated
-            # the beliefs yet, so keep going
-        if probe >= PROBE_CAP:
-            if oracle_gap is None:
-                oracle_flows, oracle_gap = _oracle_gap(pn)
-            if oracle_gap is NO_CYCLE or oracle_gap > 0:
-                return True, dict(oracle_flows), driver.executed
+                gap = min_cycle_cost(pn, flows)
+                if gap >= 0:
+                    return gap > 0, (flows if gap > 0 else None), driver.executed
+        if oracle is None and (not passed or probe == PROBE_CAP):
+            oracle = _oracle_gap(pn)
+        if oracle is not None and oracle[1] == 0:
             return False, None, driver.executed
-        probe = min(probe * 2, PROBE_CAP)
+    return True, dict(oracle[0]), driver.executed
 
 
 @dataclass

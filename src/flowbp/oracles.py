@@ -34,14 +34,11 @@ from .errors import (
     SizeBudgetError,
 )
 from .flowmodel import (
-    NEGATIVE_CYCLE,
-    NO_CYCLE,
     FlowAssignment,
     FlowNetwork,
     check_solvable,
     make_assignment,
     min_cycle_cost,
-    residual_graph,
 )
 from .pwl import POS_INF
 
@@ -172,21 +169,20 @@ def enumerate_integral_flows(
 
 
 def is_unique_optimum(network: FlowNetwork, flows: Mapping[int, int]) -> bool:
-    """Whether ``flows`` is the unique optimum.
+    """Whether ``flows`` is the unique optimum: whether its residual-cycle
+    certificate (:func:`flowmodel.min_cycle_cost`) is positive.
 
-    ``flows`` must already be optimal: a strictly negative residual cycle
-    raises :class:`NotOptimalError`.  A zero-cost genuine residual cycle
-    certifies an alternative optimum; otherwise every other feasible flow
-    costs strictly more.
+    ``flows`` must already be optimal: a negative certificate raises
+    :class:`NotOptimalError`.  A zero-cost genuine residual cycle certifies
+    an alternative optimum; otherwise every other feasible flow costs
+    strictly more.
     """
     if isinstance(flows, FlowAssignment):
         flows = flows.flows
-    delta = min_cycle_cost(residual_graph(network, flows))
-    if delta is NEGATIVE_CYCLE:
+    gap = min_cycle_cost(network, flows)
+    if gap < 0:
         raise NotOptimalError("flow admits a negative residual cycle")
-    if delta is NO_CYCLE:
-        return True
-    return delta > 0
+    return gap > 0
 
 
 # ---------------------------------------------------------------------------

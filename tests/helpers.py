@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from flowbp.flowmodel import FlowNetwork
+from flowbp.gen import random_network
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex
 
 
@@ -42,6 +43,19 @@ HANG_NETWORK = FlowNetwork.from_data(
         (7, 2, 1, None, -3),
     ],
 )
+
+
+def uncapacitated_network(seed: int, share: float, discount: int) -> FlowNetwork:
+    """``random_network(seed, n=6, m=14)`` with about ``share`` of its arcs
+    made uncapacitated and ``discount`` taken off their cost."""
+    base = random_network(seed, n=6, m=14, c_max=5, cap_max=3)
+    rng = random.Random(seed)
+    specs = []
+    for a in base.arcs:
+        cap = None if rng.random() < share else a.capacity
+        cost = a.cost.slopes[0] - (discount if cap is None else 0)
+        specs.append((a.id, a.tail, a.head, cap, cost))
+    return FlowNetwork.from_data(dict(base.demands), specs)
 
 
 def brute_min_pair(f: PwlConvex, g: PwlConvex, t, lo=-16, hi=16, per_unit=8):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from flowbp import cli, pwl, selftest
 from flowbp.flowmodel import network_to_json_dict, parse_dimacs
 from flowbp.oracles import exact_solve, is_unique_optimum
-from helpers import HANG_NETWORK, t1_network
+from helpers import HANG_NETWORK, t1_network, uncapacitated_network
 
 T1_DIMACS = """\
 p min 3 3
@@ -338,6 +339,18 @@ def test_selftest_fails_under_python_O_when_the_gap_verdict_is_wrong():
     assert proc.returncode == cli.EXIT_OTHER
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no result guarantee may rest on one
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 _CLI = "import sys; from flowbp import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
@@ -353,6 +366,20 @@ def test_unbounded_instance_fails_fast(tmp_path, argv):
     assert proc.returncode == cli.EXIT_OTHER
     assert json.loads(proc.stdout) == {"error": {
         "kind": "other", "detail": "negative cycle with infinite capacity found"}}
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["solve", "--iters", "4"], ["check-unique"]])
+def test_negative_infinite_message_exits_with_error_object(tmp_path, argv):
+    # the instance passes the gate, but its uncapacitated negative-cost
+    # arcs drive a message to -inf everywhere: the documented exit 1
+    path = tmp_path / "neg.json"
+    net = uncapacitated_network(7300, share=0.4, discount=2)
+    path.write_text(json.dumps(network_to_json_dict(net)))
+    proc = _python("-c", _CLI, *argv, "--input", str(path), timeout=60)
+    assert proc.returncode == cli.EXIT_OTHER
+    assert json.loads(proc.stdout) == {"error": {
+        "kind": "other", "detail": "infimal convolution is -inf everywhere"}}
     assert "Traceback" not in proc.stderr
 
 

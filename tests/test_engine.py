@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from flowbp.bp_engine import (
     MessageState,
     _Rounds,
-    beliefs_at_round,
     belief,
     check_message_invariants,
     detect_uniqueness,
@@ -20,7 +17,7 @@ from flowbp.fpras import perturb_costs
 from flowbp.gen import hard_instance, random_network
 from flowbp.oracles import build_tree, exact_solve, is_unique_optimum, tree_solve
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex, scaled_interpolation
-from helpers import leave_one_out_tilts, t1_network
+from helpers import leave_one_out_tilts, t1_network, uncapacitated_network
 
 
 def test_init_messages_t1():
@@ -87,22 +84,9 @@ def _differential_cases():
     yield "perturbed", preprocess_degree(perturb_costs(base, "1/1000000000000000", 3).network)[0]
     # uncapacitated arcs: messages with infinite domains; with negative
     # costs, nodes whose leave-one-out outputs are stitched at different tilts
-    yield "uncapacitated", preprocess_degree(_uncapacitated(7306, share=0.5, discount=0))[0]
-    yield "uncapacitated-negative-3", preprocess_degree(_uncapacitated(7303, share=0.4, discount=2))[0]
-    yield "uncapacitated-negative-6", preprocess_degree(_uncapacitated(7306, share=0.4, discount=2))[0]
-
-
-def _uncapacitated(seed, share, discount):
-    """``random_network(seed, n=6, m=14)`` with about ``share`` of its arcs
-    made uncapacitated and ``discount`` taken off their cost."""
-    base = random_network(seed, n=6, m=14, c_max=5, cap_max=3)
-    rng = random.Random(seed)
-    specs = []
-    for a in base.arcs:
-        cap = None if rng.random() < share else a.capacity
-        cost = a.cost.slopes[0] - (discount if cap is None else 0)
-        specs.append((a.id, a.tail, a.head, cap, cost))
-    return FlowNetwork.from_data(dict(base.demands), specs)
+    yield "uncapacitated", preprocess_degree(uncapacitated_network(7306, share=0.5, discount=0))[0]
+    yield "uncapacitated-negative-3", preprocess_degree(uncapacitated_network(7303, share=0.4, discount=2))[0]
+    yield "uncapacitated-negative-6", preprocess_degree(uncapacitated_network(7306, share=0.4, discount=2))[0]
 
 
 def _tilt_counts(net, state):
@@ -298,8 +282,9 @@ def test_fast_beliefs_match_literal_run():
         (hard_instance(6), 40),
         (random_network(4, n=4, m=6, c_max=3, cap_max=2), 35),
     ]:
-        fast, executed = beliefs_at_round(net, target)
-        assert executed < target
+        driver = _Rounds(net)
+        fast = driver.beliefs(target)
+        assert driver.executed < target
         lit = init_messages(net)
         for _ in range(target):
             lit = update_round(net, lit)
@@ -425,7 +410,7 @@ def test_one_driver_answers_increasing_targets_like_fresh_drivers():
         driver = _Rounds(reduced)
         for t in targets:
             shared = driver.beliefs(t)
-            fresh, _ = beliefs_at_round(reduced, t)
+            fresh = _Rounds(reduced).beliefs(t)
             for aid, b in fresh.items():
                 _same_up_to_constant(shared[aid], b)
             assert driver.executed <= t

@@ -13,8 +13,6 @@ from flowbp.errors import (
 )
 from flowbp.flowmodel import (
     objective_value,
-    NEGATIVE_CYCLE,
-    NO_CYCLE,
     Arc,
     FlowNetwork,
     UNBOUNDED,
@@ -26,10 +24,11 @@ from flowbp.flowmodel import (
     network_to_json_dict,
     parse_dimacs,
     preprocess_degree,
-    residual_graph,
     split_node_capacities,
 )
-from flowbp.pwl import PwlConvex
+from flowbp.gen import random_network
+from flowbp.oracles import enumerate_integral_flows
+from flowbp.pwl import NEG_INF, POS_INF, PwlConvex
 from helpers import t1_network
 
 T1_DIMACS = """\
@@ -123,60 +122,87 @@ def test_preprocess_forced_infeasible():
 
 
 def test_residual_t1():
-    net = t1_network()
-    res = residual_graph(net, {1: 1, 2: 1, 3: 0})
-    table = {(ra.arc_id, ra.forward): ra for ra in res.arcs}
-    assert set(table) == {(1, True), (1, False), (2, True), (2, False), (3, True)}
-    assert table[(1, True)].cost == 1 and table[(1, False)].cost == -1
-    assert table[(3, True)].cost == 3
-    assert table[(1, False)].tail == 2 and table[(1, False)].head == 1
+    # at (1, 1, 0) the only cycle runs forward on arc 3 (priced c3) and back
+    # along arcs 2 and 1 (each priced -1, from head to tail)
+    for c3 in range(2, 6):
+        assert min_cycle_cost(t1_network(c3=c3), {1: 1, 2: 1, 3: 0}) == c3 - 2
+    assert min_cycle_cost(t1_network(c3=1), {1: 1, 2: 1, 3: 0}) == NEG_INF
 
 
 def test_residual_zero_flow_forward_only():
-    net = t1_network()
-    res = residual_graph(net, {1: 0, 2: 0, 3: 1})
-    # arc 3 carries flow, others are at zero
-    kinds = {(ra.arc_id, ra.forward) for ra in res.arcs}
-    assert (1, False) not in kinds and (2, False) not in kinds
-    assert (3, False) in kinds
+    # parallel arcs 1 -> 2: a flow-carrying arc has a backward copy, which
+    # closes a cycle with the other arc's forward copy; an arc at zero
+    # flow has none, and a saturated arc has no forward copy
+    net = FlowNetwork.from_data({1: 0, 2: 0}, [(1, 1, 2, 2, 1), (2, 1, 2, 2, 1)])
+    assert min_cycle_cost(net, {1: 0, 2: 0}) == POS_INF
+    net = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, 1), (2, 1, 2, 2, 3)])
+    assert min_cycle_cost(net, {1: 0, 2: 1}) == NEG_INF
+    assert min_cycle_cost(net, {1: 1, 2: 0}) == 2
+    net = FlowNetwork.from_data({1: 2, 2: -2}, [(1, 1, 2, 1, 1), (2, 1, 2, 1, 3)])
+    assert min_cycle_cost(net, {1: 1, 2: 1}) == POS_INF
 
 
 def test_residual_pwl_one_sided_derivatives():
+    # at flow 1, arc 1's left slope is 1 and its right slope 4
     pw = PwlConvex((0, 1, 3), (1, 4), (0, 0))
     net = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 3, pw), (2, 2, 1, 3, 0)])
-    res = residual_graph(net, {1: 1, 2: 0})
-    table = {(ra.arc_id, ra.forward): ra for ra in res.arcs}
-    assert table[(1, True)].cost == 4
-    assert table[(1, False)].cost == -1
+    assert min_cycle_cost(net, {1: 1, 2: 0}) == 4  # forward at +4, then back on arc 2
+    net = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 3, pw), (2, 1, 2, 3, 3)])
+    assert min_cycle_cost(net, {1: 1, 2: 0}) == 2  # forward on arc 2, back at -1
 
 
 def test_residual_rejects_infeasible():
     with pytest.raises(InfeasibleFlowError):
-        residual_graph(t1_network(), {1: 2, 2: 1, 3: 0})
+        min_cycle_cost(t1_network(), {1: 2, 2: 1, 3: 0})
 
 
 def test_min_cycle_cost_t1_optimum():
-    res = residual_graph(t1_network(), {1: 1, 2: 1, 3: 0})
-    assert min_cycle_cost(res) == 1
+    assert min_cycle_cost(t1_network(), {1: 1, 2: 1, 3: 0}) == 1
 
 
 def test_min_cycle_cost_negative():
-    res = residual_graph(t1_network(), {1: 0, 2: 0, 3: 1})
-    assert min_cycle_cost(res) is NEGATIVE_CYCLE
+    assert min_cycle_cost(t1_network(), {1: 0, 2: 0, 3: 1}) == NEG_INF
 
 
 def test_min_cycle_cost_acyclic():
     net = FlowNetwork.from_data({1: 0, 2: 0, 3: 0}, [(1, 1, 2, 2, 1), (2, 2, 3, 2, 1)])
-    res = residual_graph(net, {1: 0, 2: 0})
-    assert min_cycle_cost(res) is NO_CYCLE
+    assert min_cycle_cost(net, {1: 0, 2: 0}) == POS_INF
 
 
 def test_min_cycle_cost_same_arc_pair_excluded():
     # one arc mid-capacity: its forward+backward pair is not a cycle
+    single = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, 5)])
+    assert min_cycle_cost(single, {1: 1}) == POS_INF
     net = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, 5), (2, 1, 2, 2, 5)])
-    res = residual_graph(net, {1: 1, 2: 0})
     # genuine cycle: forward arc2 (cost 5) + backward arc1 (cost -5)
-    assert min_cycle_cost(res) == 0
+    assert min_cycle_cost(net, {1: 1, 2: 0}) == 0
+
+
+def test_min_cycle_cost_matches_enumeration():
+    # the certificate of every feasible flow y on tiny instances against
+    # exhaustive enumeration: -inf when y is not optimal, else the least
+    # extra cost of another feasible flow, +inf when y is the only one
+    outcomes = {"-inf": 0, "zero": 0, "positive": 0, "+inf": 0}
+    for seed in range(300):
+        n = 3 + seed % 3
+        net = random_network(
+            seed + 8800, n=n, m=n + 1 + seed // 3 % 3, c_max=4, cap_max=3,
+            cost_pieces=1 + seed // 9 % 2,
+        )
+        feasible = enumerate_integral_flows(net)
+        best = min(fa.objective for fa in feasible)
+        for y in feasible:
+            others = [z.objective - y.objective for z in feasible if z.flows != y.flows]
+            if y.objective > best:
+                want = NEG_INF
+            else:
+                want = min(others, default=POS_INF)
+            got = min_cycle_cost(net, y.flows)
+            assert got == want, (seed, y.flows)
+            key = "-inf" if got == NEG_INF else "+inf" if got == POS_INF else (
+                "zero" if got == 0 else "positive")
+            outcomes[key] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_iteration_bounds():

@@ -13,17 +13,15 @@ from flowbp.errors import (
 )
 from flowbp.bp_engine import belief, gap_test, init_messages, update_round
 from flowbp.flowmodel import (
-    NEGATIVE_CYCLE,
-    NO_CYCLE,
     FlowAssignment,
     FlowNetwork,
     check_feasible,
+    min_cycle_cost,
     preprocess_degree,
 )
 from flowbp.fpras import (
     PROBE_CAP,
     PerturbedInstance,
-    _cycle_gap,
     _decide_perturbed,
     _oracle_gap,
     _philox_key,
@@ -328,20 +326,20 @@ def _literal_decide(pn):
         if cand_unique:
             flows = {**fixed, **est.flows}
             if check_feasible(pn, flows):
-                gap = _cycle_gap(pn, flows)
-                if gap is NO_CYCLE or (gap is not NEGATIVE_CYCLE and gap > 0):
+                gap = min_cycle_cost(pn, flows)
+                if gap > 0:
                     return True, flows, t
-                if gap is not NEGATIVE_CYCLE:
+                if gap == 0:
                     return False, None, t
         else:
             if oracle_gap is None:
                 oracle_flows, oracle_gap = _oracle_gap(pn)
-            if oracle_gap is not NO_CYCLE and oracle_gap == 0:
+            if oracle_gap == 0:
                 return False, None, t
         if t >= PROBE_CAP:
             if oracle_gap is None:
                 oracle_flows, oracle_gap = _oracle_gap(pn)
-            if oracle_gap is NO_CYCLE or oracle_gap > 0:
+            if oracle_gap > 0:
                 return True, dict(oracle_flows), t
             return False, None, t
         probe = min(probe * 2, PROBE_CAP)
