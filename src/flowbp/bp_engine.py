@@ -8,17 +8,20 @@ constraint (a signed infimal convolution), re-parametrized to the arc's own
 flow, and the arc's own cost is added.  All messages are exact
 piecewise-linear convex functions, so rounds are pure integer algebra.
 
-A node's outgoing messages come from one per-node kernel: its incoming
-messages are reflected into one orientation once, and
-:func:`~flowbp.pwl.leave_one_out` splits each of them once (per distinct
-tilt, almost always one), sorts all their pieces once, and stitches every
-arc's combination from that sorted list while skipping the arc's own
-pieces.  :func:`~flowbp.pwl.add_composed` then re-parametrizes each
-combination to its arc's flow and adds the arc cost in one merge.  A node
-of degree ``d`` with ``P`` incoming pieces costs ``d`` splits, one sort
-and ``2 * d`` results of ``O(P)`` work each, instead of a chain of about
+A node's outgoing messages come from one per-node kernel,
+:func:`~flowbp.pwl.node_messages`, run over a plan compiled once per
+network.  Its incoming messages are signed by the arc orientation without
+building reflected copies; per distinct tilt (almost always one) each is
+split once and all their pieces are sorted once; every arc's combination
+is stitched from that sorted list while skipping the arc's own pieces,
+only across the window its flow domain maps to, and merged with the arc
+cost.  A node of degree ``d`` with ``P`` incoming pieces costs ``d``
+splits and one sort per tilt, ``d`` stitches of at most ``O(P)`` work
+each, and one result object per message, instead of a chain of about
 ``3 * d`` pairwise convolutions.  The tables are identical to the
-pairwise ones, because ``PwlConvex`` is canonical.
+pairwise ones, because ``PwlConvex`` is canonical.  Every round-0 message
+is the zero function, so round 1 is each message's arc cost: the round
+driver starts from that table and executes rounds from 2 on.
 
 The per-arc belief combines the two directed messages and subtracts the arc
 cost once (each directed message already includes it); its minimizer is the
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .errors import InfeasibleFlowError
+from .errors import EmptyDomainError, InfeasibleFlowError
 from .flowmodel import (
     FlowAssignment,
     FlowNetwork,
@@ -49,7 +52,7 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, PwlConvex, add_composed, leave_one_out, pointwise_diff
+from .pwl import POS_INF, PwlConvex, node_messages, pointwise_diff
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 
@@ -65,68 +68,70 @@ class MessageState:
         return self.messages[(arc_id, endpoint)]
 
 
-class _Recipe(NamedTuple):
-    key: MessageKey
-    phi: PwlConvex
-    scale: int  # -delta(w, e) where w is the far endpoint
-    shift: int  # demand at the far endpoint
-    far: int  # the far endpoint w
-    slot: int  # position of the arc in network.incident[w]
+class _Node(NamedTuple):
+    sources: tuple[MessageKey, ...]  # the messages toward w, one per incident arc e
+    signs: tuple[int, ...]  # delta(w, e)
+    finishes: tuple[tuple[PwlConvex, int, int], ...]  # (cost of e, -delta(w, e), demand at w)
+    slots: tuple[int, ...]  # table position of the message e sends away from w
+
+
+class _Plan(NamedTuple):
+    keys: tuple[MessageKey, ...]  # table order: per arc, toward its tail, then its head
+    costs: tuple[PwlConvex, ...]  # the arc cost under each key: the round-1 table
+    nodes: tuple[_Node, ...]  # every node with an incident arc
 
 
 # Callers step one network at a time and every CLI call parses a fresh
-# one, so a larger cache only keeps dead networks and their recipes alive.
+# one, so a larger cache only keeps dead networks and their plans alive.
 @lru_cache(maxsize=4)
-def _recipes(network: FlowNetwork) -> tuple[_Recipe, ...]:
-    slots = {
-        (a.id, w): i for w, inc in network.incident.items() for i, (a, _) in enumerate(inc)
-    }
-    return tuple(
-        _Recipe(
-            key=(a.id, to_end),
-            phi=a.cost,
-            scale=-a.delta(far_end),
-            shift=network.demands[far_end],
-            far=far_end,
-            slot=slots[(a.id, far_end)],
+def _plan(network: FlowNetwork) -> _Plan:
+    keys = tuple((a.id, end) for a in network.arcs for end in (a.tail, a.head))
+    position = {k: i for i, k in enumerate(keys)}
+    nodes = tuple(
+        _Node(
+            sources=tuple((e.id, w) for e, _ in inc),
+            signs=tuple(d for _, d in inc),
+            finishes=tuple((e.cost, -d, network.demands[w]) for e, d in inc),
+            slots=tuple(position[(e.id, e.head if d == 1 else e.tail)] for e, d in inc),
         )
-        for a in network.arcs
-        for to_end, far_end in ((a.tail, a.head), (a.head, a.tail))
+        for w, inc in network.incident.items()
+        if inc
     )
+    return _Plan(keys, tuple(a.cost for a in network.arcs for _ in (a.tail, a.head)), nodes)
 
 
 def init_messages(network: FlowNetwork) -> MessageState:
     """Round-0 table: every message is the all-zero function on R."""
     zero = PwlConvex.constant(0)
-    table = {r.key: zero for r in _recipes(network)}
-    return MessageState(0, table)
+    return MessageState(0, {k: zero for k in _plan(network).keys})
 
 
 def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     """One synchronous round: every message recomputed from the previous
     table only.
 
-    At each node w, every incoming message is reflected once where
-    ``delta(w, e) = -1``, so the conservation constraint becomes a plain
-    sum; one :func:`~flowbp.pwl.leave_one_out` pass gives the combinations
-    of all of w's arcs, and :func:`~flowbp.pwl.add_composed` re-parametrizes
-    each to its arc's flow and adds the arc cost in one merge.
+    Each node w's outgoing messages come from one
+    :func:`~flowbp.pwl.node_messages` pass over its incoming messages,
+    signed by ``delta(w, e)`` so that the conservation constraint becomes
+    a plain sum, and finished with each arc's re-parametrization and
+    cost.  An :class:`~flowbp.errors.EmptyDomainError` is raised only
+    after every node has had its chance to raise any other error.
     """
+    plan = _plan(network)
     prev = state.messages
-    combined = {
-        w: leave_one_out(
-            [prev[(e.id, w)] if d == 1 else prev[(e.id, w)].compose_affine(-1, 0) for e, d in inc]
-        )
-        for w, inc in network.incident.items()
-        if inc
-    }
-    return MessageState(
-        state.round + 1,
-        {
-            r.key: add_composed(r.phi, combined[r.far][r.slot], r.scale, r.shift)
-            for r in _recipes(network)
-        },
-    )
+    table: list = [None] * len(plan.keys)
+    empty = None
+    for node in plan.nodes:
+        try:
+            out = node_messages([prev[k] for k in node.sources], node.signs, node.finishes)
+        except EmptyDomainError as exc:
+            empty = exc
+            continue
+        for slot, m in zip(node.slots, out):
+            table[slot] = m
+    if empty is not None:
+        raise empty
+    return MessageState(state.round + 1, dict(zip(plan.keys, table)))
 
 
 def belief(network: FlowNetwork, state: MessageState, arc_id: int) -> PwlConvex:
@@ -286,39 +291,41 @@ def _invariant_tilt(
 
     ``alpha_k`` is each message's slope shift between the two matched
     rounds.  A round preserves the offsets exactly when, for every message
-    recipe, the source shifts factor through the conservation constraint
-    (``alpha = c * sign`` for one constant ``c`` per recipe, point
-    indicators free) and the implied output shift ``c * scale`` equals the
-    observed one.  Returns the shift per message key, or None when the
-    pattern is not invariant.
+    a node w sends along an arc e, the shifts of w's other incoming
+    messages factor through the conservation constraint (``alpha = c *
+    sign`` for one constant ``c`` per message, point indicators free) and
+    the implied output shift ``-c * delta(w, e)`` equals the observed one.
+    Returns the shift per message key, or None when the pattern is not
+    invariant.
     """
-    recipes = _recipes(network)
+    plan = _plan(network)
     alpha: dict[MessageKey, Optional[int]] = {}
-    for r, f, g in zip(recipes, old.messages.values(), new.messages.values()):
+    for key, f, g in zip(plan.keys, old.messages.values(), new.messages.values()):
         if bool(f.slopes) != bool(g.slopes):
             return None
         # point indicators (no slopes) take any tilt
-        alpha[r.key] = g.slopes[0] - f.slopes[0] if f.slopes else None
-    for r in recipes:
-        c = None
-        for i, (e, sign) in enumerate(network.incident[r.far]):
-            a = alpha[(e.id, r.far)]
-            if i == r.slot or a is None:
+        alpha[key] = g.slopes[0] - f.slopes[0] if f.slopes else None
+    for node in plan.nodes:
+        sources = [alpha[k] for k in node.sources]
+        for i, slot in enumerate(node.slots):
+            c = None
+            for j, (a, sign) in enumerate(zip(sources, node.signs)):
+                if j == i or a is None:
+                    continue
+                cand = a * sign
+                if c is None:
+                    c = cand
+                elif c != cand:
+                    return None
+            out = alpha[plan.keys[slot]]
+            if out is None:
                 continue
-            cand = a * sign
             if c is None:
-                c = cand
-            elif c != cand:
+                # every source is a point indicator, so the output must be
+                # one too; a sloped output cannot match
                 return None
-        out = alpha[r.key]
-        if out is None:
-            continue
-        if c is None:
-            # every source is a point indicator, so the output must be one
-            # too; a sloped output cannot match
-            return None
-        if out != c * r.scale:
-            return None
+            if out != -c * node.signs[i]:
+                return None
     return {k: (0 if a is None else a) for k, a in alpha.items()}
 
 
@@ -346,7 +353,11 @@ class _Rounds:
         return self.state.round
 
     def _step(self) -> None:
-        self.state = update_round(self.network, self.state)
+        if self.state.round:
+            self.state = update_round(self.network, self.state)
+        else:  # every round-0 message is zero, so round 1 is the arc costs
+            plan = _plan(self.network)
+            self.state = MessageState(1, dict(zip(plan.keys, plan.costs)))
         self.piece_totals.append(sum(m.piece_count for m in self.state.messages.values()))
         if self.on_round is not None:
             self.on_round(self.network, self.state)

@@ -55,6 +55,7 @@ _PARSE_ERRORS = (
     NonZeroLowerBoundError,
     JsonInstanceError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 _INFEASIBLE_ERRORS = (InfeasibleInstanceError, ForcedInfeasibleError)
 

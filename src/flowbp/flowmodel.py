@@ -91,7 +91,7 @@ class FlowNetwork:
     module's transformation helpers.
     """
 
-    __slots__ = ("demands", "arcs", "arc_by_id", "incident", "c_max")
+    __slots__ = ("demands", "arcs", "arc_by_id", "incident", "c_max", "_hash")
 
     def __init__(self, demands: Mapping[int, int], arcs: Iterable[Arc]):
         arcs = tuple(arcs)
@@ -129,6 +129,9 @@ class FlowNetwork:
             (max(abs(s) for s in a.cost.slopes) if a.cost.slopes else 0 for a in arcs),
             default=0,
         )
+        # lru-cached lookups key on the network; hashing every arc's cost
+        # function on each lookup would cost a pass over the instance
+        self._hash = hash((tuple(sorted(demands.items())), arcs))
 
     # -- convenience construction -------------------------------------------
 
@@ -178,7 +181,7 @@ class FlowNetwork:
         return self.demands == other.demands and self.arcs == other.arcs
 
     def __hash__(self):
-        return hash((tuple(sorted(self.demands.items())), self.arcs))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FlowNetwork(n={self.n}, m={self.m}, c_max={self.c_max})"

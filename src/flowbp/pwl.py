@@ -14,13 +14,20 @@ convolution ``(f # g)(t) = min {f(x) + g(t - x)}``, and
 near-linear) in the total number of pieces: the pieces of ``f # g`` are the
 pieces of ``f`` and ``g`` stitched together in slope order.
 
-Two kernels serve the message-passing engine.  :func:`leave_one_out`
-returns, for every operand, the convolution of all the others: each
-operand is split once and all pieces are sorted once, and each output is
-stitched from the sorted pieces while skipping its own operand's.
-:func:`add_composed` computes ``f + h(a*z + b)`` in one merge, without
-building the composed function.  Both give exactly what the pairwise
-operations give.
+One kernel serves the message-passing engine.  :func:`node_messages`
+computes all of a node's outgoing messages: for every operand, the
+convolution of all the others (each reflected by its sign), re-parametrized
+by an affine map and added to a cost.  Per distinct tilt (almost always
+one) it splits each operand once, a reflected one where the unreflected
+function splits at the negated tilt, and sorts all tagged pieces once;
+each output is stitched from that list, skipping its own operand's
+pieces, only across the window that its cost's domain maps to, and
+merged with the cost into one result object.  A node of degree ``d``
+costs ``d`` splits and one sort per tilt, ``d`` window-bounded stitches
+and one result object per message.  :func:`leave_one_out` and
+:func:`inf_convolve2` run the same split, sort and stitch with an
+unbounded window, and :func:`add_composed` the same final merge.  All
+give exactly what the pairwise operations give.
 """
 
 from __future__ import annotations
@@ -71,10 +78,10 @@ class PwlConvex:
     Public construction (``PwlConvex(...)``, :meth:`constant`,
     :meth:`point`, :meth:`linear`) and :meth:`from_json_dict` validate
     every input.  Results of the algebra (:func:`inf_convolve2`,
-    :func:`leave_one_out`, :func:`add_composed`, :meth:`add`,
-    :meth:`compose_affine`, :meth:`tilt`) are canonical by construction
-    (the convolutions merge equal slopes while they stitch) and take the
-    internal :meth:`_trusted` path, which only settles.
+    :func:`leave_one_out`, :func:`node_messages`, :func:`add_composed`,
+    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are canonical by
+    construction (the convolutions merge equal slopes while they stitch)
+    and take the internal :meth:`_trusted` path, which only settles.
     """
 
     __slots__ = ("breakpoints", "slopes", "anchor", "_values")
@@ -458,6 +465,22 @@ def _merge(op, fb, fs, gb, gs, lo: Extended, hi: Extended):
     return bks, sls, z
 
 
+def _add_image(f: PwlConvex, hb, hs, a: int, b: int):
+    """Breakpoints and slopes of ``z -> f(z) + h(a*z + b)``, where ``h``
+    has breakpoints ``hb`` and slopes ``hs``, on the intersection of the
+    two domains, plus the point to anchor at (see :func:`_merge`).
+
+    Raises :class:`EmptyDomainError` when the domains are disjoint.
+    """
+    gb, gs = _affine_image(hb, hs, a, b)
+    fb = f.breakpoints
+    lo = max(fb[0], gb[0])
+    hi = min(fb[-1], gb[-1])
+    if lo > hi:
+        raise EmptyDomainError("domains do not intersect")
+    return _merge(operator.add, fb, f.slopes, gb, gs, lo, hi)
+
+
 def add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
     """The sum ``z -> f(z) + h(a*z + b)`` for ``a`` in ``{+1, -1}``.
 
@@ -468,13 +491,7 @@ def add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
     trusted path.  Raises :class:`EmptyDomainError` when the domains are
     disjoint (the sum would be ``+inf`` everywhere).
     """
-    gb, gs = _affine_image(h.breakpoints, h.slopes, a, b)
-    fb = f.breakpoints
-    lo = max(fb[0], gb[0])
-    hi = min(fb[-1], gb[-1])
-    if lo > hi:
-        raise EmptyDomainError("domains do not intersect")
-    bks, sls, z = _merge(operator.add, fb, f.slopes, gb, gs, lo, hi)
+    bks, sls, z = _add_image(f, h.breakpoints, h.slopes, a, b)
     return PwlConvex._trusted(
         bks, sls, (z, f.evaluate(z) + h.evaluate(z + b if a == 1 else b - z))
     )
@@ -490,78 +507,127 @@ def _clamp0(s_lo: Extended, s_hi: Extended) -> int:
     return 0
 
 
-def _stitch(t0: int, v0: int, left, right, skip: int) -> PwlConvex:
-    """The convolution whose tilted minimizer is ``t0`` with value ``v0``.
+def _stitch(t0: int, v0: int, left, right, skip: int, lo: Extended = NEG_INF, hi: Extended = POS_INF):
+    """The convolution whose tilted minimizer is ``t0`` with value ``v0``,
+    laid out across the window ``[lo, hi]``.
 
     ``left`` holds the ``(slope, length, operand)`` pieces left of the
     operands' split points in slope-descending order, ``right`` those to
     the right in ascending order.  They are laid out outward from ``t0``,
-    leaving out the pieces of operand ``skip``; pieces of equal slope
-    merge (from two operands, or on both sides of ``t0``) so the result is
-    canonical.
+    leaving out the pieces of operand ``skip``, until the cursor passes
+    the window end on that side (or reaches an infinite domain end); a
+    side that lies wholly outside the window is not laid out.  Pieces of
+    equal slope merge (from two operands, or on both sides of ``t0``) so
+    the result is canonical inside the window.
+
+    Returns the breakpoints and slopes, which cover the window's part of
+    the domain, and the point of the window nearest ``t0`` with its value
+    (meaningful only when the domain reaches the window).
     """
     bks: list[Extended] = [t0]
     sls: list[int] = []
-    cur: Extended = t0
-    for s, length, j in left:
-        if j == skip:
-            continue
-        cur = NEG_INF if length == POS_INF else cur - length
-        if sls and sls[-1] == s:
-            bks[-1] = cur
-        else:
-            bks.append(cur)
-            sls.append(s)
-        if cur == NEG_INF:
-            break
-    bks.reverse()
-    sls.reverse()
-    cur = t0
-    for s, length, j in right:
-        if j == skip:
-            continue
-        cur = POS_INF if length == POS_INF else cur + length
-        if sls and sls[-1] == s:
-            bks[-1] = cur
-        else:
-            bks.append(cur)
-            sls.append(s)
-        if cur == POS_INF:
-            break
-    return PwlConvex._trusted(bks, sls, (t0, v0))
+    v = v0
+    if t0 > lo:
+        cur: Extended = t0
+        for s, length, j in left:
+            if j == skip:
+                continue
+            nxt = NEG_INF if length == POS_INF else cur - length
+            if cur > hi:  # the window lies further left: carry the value
+                v -= s * (cur - (nxt if nxt > hi else hi))
+            cur = nxt
+            if sls and sls[-1] == s:
+                bks[-1] = cur
+            else:
+                bks.append(cur)
+                sls.append(s)
+            if cur <= lo:
+                break
+        bks.reverse()
+        sls.reverse()
+    if t0 < hi:
+        cur = t0
+        for s, length, j in right:
+            if j == skip:
+                continue
+            nxt = POS_INF if length == POS_INF else cur + length
+            if cur < lo:  # the window lies further right: carry the value
+                v += s * ((nxt if nxt < lo else lo) - cur)
+            cur = nxt
+            if sls and sls[-1] == s:
+                bks[-1] = cur
+            else:
+                bks.append(cur)
+                sls.append(s)
+            if cur >= hi:
+                break
+    return bks, sls, (lo if t0 < lo else hi if t0 > hi else t0, v)
 
 
-def _convolve_at(fs: Sequence[PwlConvex], bounds, s: int, skips) -> list[PwlConvex]:
-    """For each ``i`` in ``skips``, the convolution of every ``fs[j]`` with
-    ``j != i`` (``i = -1`` leaves none out), stitched at the tilt ``s``.
+def _signed_bounds(f: PwlConvex, sign: int) -> tuple[Extended, Extended]:
+    """The slope range of ``x -> f(sign * x)``."""
+    lo, hi = f._slope_bounds()
+    return (lo, hi) if sign == 1 else (-hi, -lo)
+
+
+def _window(f: PwlConvex, a: int, b: int) -> tuple[Extended, Extended]:
+    """The image of ``f``'s domain under ``z -> a*z + b``."""
+    lo, hi = f.domain
+    if a == -1:
+        lo, hi = -hi, -lo
+    return (lo if lo == NEG_INF else lo + b), (hi if hi == POS_INF else hi + b)
+
+
+def _convolve_at(fs, signs, bounds, s: int, skips, finishes) -> list[PwlConvex]:
+    """For each ``i`` in ``skips``, the convolution of every
+    ``x -> fs[j](signs[j] * x)`` with ``j != i`` (``i = -1`` leaves none
+    out), stitched at the tilt ``s``; with ``finishes``, output ``i`` is
+    ``phi(z) + conv(a*z + b)`` for ``(phi, a, b) = finishes[i]``.
 
     ``s`` must lie in the slope range of every operand that is not left
     out.  Each operand whose range (``bounds``) holds ``s`` is split at it
-    once, and the tagged pieces are sorted once for all outputs; output
-    ``i`` is anchored at the sum of the split points and values minus its
-    own operand's.
+    once (a reflected one where ``fs[j]`` splits at ``-s``, its sides
+    swapped and negated), and the tagged pieces are sorted once for all
+    outputs; output ``i`` is anchored at the sum of the split points and
+    values minus its own operand's.  A finished output is stitched only
+    across its window, the image of ``phi``'s domain under ``a*z + b``,
+    and merged with ``phi`` into one result.
     """
-    splits = [f._split_at_tilt(s) if lo <= s <= hi else None for f, (lo, hi) in zip(fs, bounds)]
     t0 = v0 = 0
     left: list = []
     right: list = []
-    for j, split in enumerate(splits):
-        if split is None:
+    splits: list = []
+    for j, (f, sign, (lo, hi)) in enumerate(zip(fs, signs, bounds)):
+        if not lo <= s <= hi:
+            splits.append(None)
             continue
-        p, v, f_left, f_right = split
+        if sign == 1:
+            p, v, f_left, f_right = f._split_at_tilt(s)
+            left += [(sl, length, j) for sl, length in f_left]
+            right += [(sl, length, j) for sl, length in f_right]
+        else:
+            p, v, f_left, f_right = f._split_at_tilt(-s)
+            p = -p
+            left += [(-sl, length, j) for sl, length in f_right]
+            right += [(-sl, length, j) for sl, length in f_left]
         t0 += p
         v0 += v
-        left += [(sl, length, j) for sl, length in f_left]
-        right += [(sl, length, j) for sl, length in f_right]
+        splits.append((p, v))
     left.sort(key=operator.itemgetter(0), reverse=True)
     right.sort(key=operator.itemgetter(0))
     out = []
     for i in skips:
         own = splits[i] if i >= 0 else None
-        if own is None:
-            out.append(_stitch(t0, v0, left, right, i))
-        else:
-            out.append(_stitch(t0 - own[0], v0 - own[1], left, right, i))
+        t, v = (t0, v0) if own is None else (t0 - own[0], v0 - own[1])
+        if finishes is None:
+            bks, sls, anchor = _stitch(t, v, left, right, i)
+            out.append(PwlConvex._trusted(bks, sls, anchor))
+            continue
+        phi, a, b = finishes[i]
+        bks, sls, (t, v) = _stitch(t, v, left, right, i, *_window(phi, a, b))
+        bks, sls, _ = _add_image(phi, bks, sls, a, b)
+        z = t - b if a == 1 else b - t
+        out.append(PwlConvex._trusted(bks, sls, (z, phi.evaluate(z) + v)))
     return out
 
 
@@ -582,7 +648,33 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     s_hi = min(bounds[0][1], bounds[1][1])
     if s_lo > s_hi:
         raise UnboundedError("infimal convolution is -inf everywhere")
-    return _convolve_at((f, g), bounds, _clamp0(s_lo, s_hi), (-1,))[0]
+    return _convolve_at((f, g), (1, 1), bounds, _clamp0(s_lo, s_hi), (-1,), None)[0]
+
+
+def _kernel(fs, signs, finishes) -> list[PwlConvex]:
+    """The outputs of :func:`node_messages` (or, without ``finishes``, of
+    :func:`leave_one_out` on the reflected operands) for three or more
+    operands, grouped by the tilt each is stitched at."""
+    d = len(fs)
+    bounds = [_signed_bounds(f, sign) for f, sign in zip(fs, signs)]
+    lows = [lo for lo, _ in bounds]
+    highs = [hi for _, hi in bounds]
+    top = max(range(d), key=lows.__getitem__)
+    bottom = min(range(d), key=highs.__getitem__)
+    next_low = max(lo for j, lo in enumerate(lows) if j != top)
+    next_high = min(hi for j, hi in enumerate(highs) if j != bottom)
+    groups: dict[int, list[int]] = {}
+    for i in range(d):
+        s_lo = next_low if i == top else lows[top]
+        s_hi = next_high if i == bottom else highs[bottom]
+        if s_lo > s_hi:
+            raise UnboundedError("infimal convolution is -inf everywhere")
+        groups.setdefault(_clamp0(s_lo, s_hi), []).append(i)
+    out: list = [None] * d
+    for s, members in groups.items():
+        for i, g in zip(members, _convolve_at(fs, signs, bounds, s, members, finishes)):
+            out[i] = g
+    return out
 
 
 def leave_one_out(fs: Sequence[PwlConvex]) -> list[PwlConvex]:
@@ -607,25 +699,41 @@ def leave_one_out(fs: Sequence[PwlConvex]) -> list[PwlConvex]:
         raise ValueError("leave-one-out needs at least two functions")
     if d == 2:
         return [fs[1], fs[0]]
-    bounds = [f._slope_bounds() for f in fs]
-    lows = [lo for lo, _ in bounds]
-    highs = [hi for _, hi in bounds]
-    top = max(range(d), key=lows.__getitem__)
-    bottom = min(range(d), key=highs.__getitem__)
-    next_low = max(lo for j, lo in enumerate(lows) if j != top)
-    next_high = min(hi for j, hi in enumerate(highs) if j != bottom)
-    groups: dict[int, list[int]] = {}
-    for i in range(d):
-        s_lo = next_low if i == top else lows[top]
-        s_hi = next_high if i == bottom else highs[bottom]
-        if s_lo > s_hi:
-            raise UnboundedError("infimal convolution is -inf everywhere")
-        groups.setdefault(_clamp0(s_lo, s_hi), []).append(i)
-    out: list = [None] * d
-    for s, members in groups.items():
-        for i, g in zip(members, _convolve_at(fs, bounds, s, members)):
-            out[i] = g
-    return out
+    return _kernel(fs, (1,) * d, None)
+
+
+def node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes) -> list[PwlConvex]:
+    """All of one node's outgoing messages in one pass.
+
+    ``out[i]`` is ``phi(z) + L_i(a*z + b)`` for ``(phi, a, b) =
+    finishes[i]`` (``a`` in ``{+1, -1}``), where ``L_i`` is the infimal
+    convolution of every ``x -> incoming[j](signs[j] * x)`` with
+    ``j != i``: exactly ``add_composed(phi, leave_one_out(reflected)[i],
+    a, b)``, with ``reflected[j] = incoming[j].compose_affine(signs[j], 0)``.
+
+    No reflected copy is built: an operand with sign ``-1`` is split
+    where it splits at the negated tilt.  Each operand is split once per
+    tilt and the tagged pieces are sorted once per tilt, as in
+    :func:`leave_one_out`; output ``i`` is stitched only across its
+    window, the image of ``phi``'s domain under ``a*z + b``, and merged
+    with ``phi`` into the one result object it makes.  Two operands need
+    no convolution: the sign folds into :func:`add_composed`'s map.
+
+    Raises :class:`ValueError` for fewer than two operands,
+    :class:`UnboundedError` when some ``L_i`` is ``-inf`` everywhere (all
+    outputs are checked before any is built), and
+    :class:`EmptyDomainError` when some ``L_i`` is ``+inf`` on all of
+    ``phi``'s window.
+    """
+    d = len(incoming)
+    if d < 2:
+        raise ValueError("leave-one-out needs at least two functions")
+    if d == 2:
+        return [
+            add_composed(phi, incoming[1 - i], signs[1 - i] * a, signs[1 - i] * b)
+            for i, (phi, a, b) in enumerate(finishes)
+        ]
+    return _kernel(incoming, signs, finishes)
 
 
 def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlConvex:

@@ -16,9 +16,17 @@ from fractions import Fraction
 from functools import reduce
 
 from . import bp_engine, fpras, gen, oracles
-from .errors import UnboundedError
+from .errors import EmptyDomainError, UnboundedError
 from .flowmodel import FlowNetwork, preprocess_degree
-from .pwl import NEG_INF, POS_INF, PwlConvex, inf_convolve2, leave_one_out
+from .pwl import (
+    NEG_INF,
+    POS_INF,
+    PwlConvex,
+    add_composed,
+    inf_convolve2,
+    leave_one_out,
+    node_messages,
+)
 
 
 def _check(cond, detail) -> None:
@@ -48,6 +56,31 @@ def _random_pwl(rng: random.Random, open_ends: bool = False) -> PwlConvex:
             bks[-1] = POS_INF
     z = next((b for b in bks if b not in (NEG_INF, POS_INF)), 0)
     return PwlConvex(bks, sls, (z, value))
+
+
+def _random_cost(rng: random.Random) -> PwlConvex:
+    """An arc cost on ``[0, cap]``: a point, or one or two pieces up to a
+    finite or an infinite capacity."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PwlConvex.point(0, 0)
+    sls = sorted(rng.sample(range(-4, 5), rng.randint(1, 2)))
+    bks = [0, 2, 4][: len(sls) + 1]
+    if kind == 2:
+        bks[-1] = POS_INF
+    return PwlConvex(bks, sls, (0, 0))
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except (UnboundedError, EmptyDomainError) as exc:
+        return type(exc)
+
+
+def _literal_node_messages(fs, signs, finishes):
+    reflected = [f.compose_affine(sign, 0) for f, sign in zip(fs, signs)]
+    return [add_composed(phi, g, a, b) for (phi, a, b), g in zip(finishes, leave_one_out(reflected))]
 
 
 def _suite_pwl_grid(quick: bool) -> str:
@@ -86,8 +119,17 @@ def _suite_pwl_grid(quick: bool) -> str:
         except UnboundedError:
             got = None
         _check(got == want, ("leave_one_out", fs))
+    # the engine's fused node kernel against its literal composition:
+    # reflect, leave one out, re-parametrize and add each arc cost
+    for _ in range(sets):
+        fs = [_random_pwl(rng, open_ends=True) for _ in range(rng.randint(2, 6))]
+        signs = [rng.choice((1, -1)) for _ in fs]
+        finishes = [(_random_cost(rng), rng.choice((1, -1)), rng.randint(-5, 5)) for _ in fs]
+        want = _outcome(_literal_node_messages, fs, signs, finishes)
+        got = _outcome(node_messages, fs, signs, finishes)
+        _check(got == want, ("node_messages", fs, signs, finishes))
     return (f"{pairs} convolutions, {checks} grid points, "
-            f"{sets} leave-one-out sets ({unbounded} unbounded)")
+            f"{sets} leave-one-out sets ({unbounded} unbounded), {sets} node kernels")
 
 
 def _suite_t1(quick: bool) -> str:

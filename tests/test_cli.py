@@ -85,6 +85,16 @@ def test_solve_parse_error_exit_code(capsys, tmp_path):
     assert report["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("mode", [["solve"], ["check-unique"], ["approx", "--epsilon", "1/2"]])
+def test_non_utf8_instance_is_parse_error(capsys, tmp_path, mode):
+    p = tmp_path / "binary.dimacs"
+    p.write_bytes(b"\xff\xfe")
+    code, report = run_cli(capsys, *mode, "--input", str(p))
+    assert code == 3
+    assert report["error"]["kind"] == "parse"
+    assert "can't decode byte 0xff" in report["error"]["detail"]
+
+
 def _drop(*path):
     def edit(d):
         *outer, last = path
@@ -300,6 +310,15 @@ def test_selftest_pwl_suite_checks_leave_one_out(monkeypatch):
     # outputs in the wrong order: each one leaves out the wrong operand
     monkeypatch.setattr(selftest, "leave_one_out", lambda fs: pwl.leave_one_out(fs)[::-1])
     with pytest.raises(AssertionError, match="leave_one_out"):
+        selftest._suite_pwl_grid(True)
+
+
+def test_selftest_pwl_suite_checks_node_kernel(monkeypatch):
+    # signs ignored: reflected operands enter unreflected
+    monkeypatch.setattr(
+        selftest, "node_messages", lambda fs, signs, finishes: pwl.node_messages(fs, [1] * len(fs), finishes)
+    )
+    with pytest.raises(AssertionError, match="node_messages"):
         selftest._suite_pwl_grid(True)
 
 

@@ -138,6 +138,47 @@ def test_update_round_equals_literal_round(name, net):
             assert state.messages[key] == m, (name, state.round, key)
 
 
+def test_driver_round_one_is_update_round_from_zero():
+    # every round-0 message is the zero function, so the driver starts
+    # from the arc costs; the table must be exactly the executed round 1
+    nets = [net for _, net in _differential_cases()]
+    nets += [preprocess_degree(net)[0] for _, net in _run_cases()]
+    for net in nets:
+        seen = []
+        _Rounds(net, on_round=lambda _, state: seen.append(state)).beliefs(1)
+        (first,) = seen
+        want = update_round(net, init_messages(net))
+        assert first.round == want.round == 1
+        assert list(first.messages.items()) == list(want.messages.items())
+        assert [m._values for m in first.messages.values()] == [
+            m._values for m in want.messages.values()
+        ]
+
+
+def test_update_round_builds_one_object_per_message(monkeypatch):
+    trusted, init = PwlConvex._trusted.__func__, PwlConvex.__init__
+    built = []
+
+    def count_trusted(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    def count_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for seed in (0, 1):
+        net = random_network(seed, n=30, m=200)
+        state = update_round(net, update_round(net, init_messages(net)))
+        assert max(m.piece_count for m in state.messages.values()) > 1
+        monkeypatch.setattr(PwlConvex, "_trusted", classmethod(count_trusted))
+        monkeypatch.setattr(PwlConvex, "__init__", count_init)
+        built.clear()
+        update_round(net, state)
+        monkeypatch.undo()
+        assert len(built) == 2 * net.m
+
+
 def test_belief_round1_t1():
     net = t1_network()
     s1 = update_round(net, init_messages(net))

@@ -49,6 +49,17 @@ def test_validate_t1():
     assert net.degree(1) == 2
 
 
+def test_network_hash_is_cached_and_agrees_with_equality():
+    for seed in range(5):
+        net = random_network(seed, n=6, m=12, cost_pieces=2)
+        # the cached value is the hash of the data equality compares
+        assert hash(net) == hash((tuple(sorted(net.demands.items())), net.arcs))
+        twin = FlowNetwork(dict(reversed(list(net.demands.items()))), list(net.arcs))
+        assert twin == net and twin is not net
+        assert hash(twin) == hash(net)
+        assert {net: 1}[twin] == 1
+
+
 def test_validate_demand_imbalance():
     with pytest.raises(DemandImbalanceError):
         FlowNetwork.from_data({1: 1, 2: 0, 3: 0}, [(1, 1, 2, 2, 1)])

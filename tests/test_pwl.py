@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -12,6 +13,7 @@ from flowbp.errors import (
     NonConvexError,
     UnboundedError,
 )
+from flowbp import pwl
 from flowbp.pwl import (
     NEG_INF,
     POS_INF,
@@ -19,6 +21,7 @@ from flowbp.pwl import (
     add_composed,
     inf_convolve2,
     leave_one_out,
+    node_messages,
     pointwise_diff,
     scaled_interpolation,
 )
@@ -509,3 +512,97 @@ def test_add_composed_rejects_bad_affine_maps():
             add_composed(f, f, a, b)
         with pytest.raises(ValueError):
             f.compose_affine(a, b)
+
+
+@st.composite
+def arc_costs(draw):
+    """Costs on ``[0, cap]``: the point of a zero-capacity arc, and one to
+    three pieces on a bounded or an uncapacitated domain, with slopes
+    optionally scaled by ``BIG``."""
+    cap = draw(st.sampled_from(("point", "bounded", "uncapacitated")))
+    if cap == "point":
+        return PwlConvex.point(0, 0)
+    k = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((1, BIG)))
+    sls = [s * scale for s in sorted(draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k, unique=True)))]
+    inner = sorted(draw(st.lists(st.integers(1, 6), min_size=k - 1, max_size=k - 1, unique=True)))
+    end = POS_INF if cap == "uncapacitated" else (inner[-1] if inner else 0) + draw(st.integers(1, 3))
+    return PwlConvex([0, *inner, end], sls, (0, 0))
+
+
+@st.composite
+def node_cases(draw):
+    """The operands, signs and finishes of one node: 2 to 7 operands of
+    every domain shape, and per output an arc cost, a = +-1 and a shift
+    that may be far beyond float range."""
+    d = draw(st.integers(2, 7))
+    incoming = draw(st.lists(pwl_functions(), min_size=d, max_size=d))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    shifts = st.one_of(st.integers(-8, 8), st.sampled_from((BIG, -BIG, 3 * BIG)))
+    finishes = [(draw(arc_costs()), draw(st.sampled_from((1, -1))), draw(shifts)) for _ in range(d)]
+    return incoming, signs, finishes
+
+
+def _literal_node_messages(incoming, signs, finishes):
+    reflected = [f.compose_affine(sign, 0) for f, sign in zip(incoming, signs)]
+    return [add_composed(phi, g, a, b) for (phi, a, b), g in zip(finishes, leave_one_out(reflected))]
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except (UnboundedError, EmptyDomainError) as exc:
+        return type(exc), str(exc)
+
+
+@KERNEL
+@given(case=node_cases())
+def _node_messages_match_literal_composition(seen, case):
+    want = _outcome(_literal_node_messages, *case)
+    got = _outcome(node_messages, *case)
+    if isinstance(want, tuple):
+        assert got == want
+        seen[want[0].__name__] += 1
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same(g, w)
+        # canonical and well formed, independent of the stitch both share
+        _same(PwlConvex(g.breakpoints, g.slopes, g.anchor), g)
+    incoming, signs, _ = case
+    if len(incoming) > 2:
+        reflected = [f.compose_affine(sign, 0) for f, sign in zip(incoming, signs)]
+        seen["tilts > 1"] += len(set(leave_one_out_tilts(reflected))) > 1
+
+
+def test_node_messages_equal_literal_composition(monkeypatch):
+    # every output of the fused kernel is exactly add_composed over
+    # leave_one_out of the reflected operands, errors included; the spy
+    # records where each finished output's window lies from its split point
+    seen: Counter = Counter()
+    stitch = pwl._stitch
+
+    def spy(t0, v0, left, right, skip, lo=NEG_INF, hi=POS_INF):
+        if (lo, hi) != (NEG_INF, POS_INF):
+            where = "left" if hi < t0 else "right" if t0 < lo else "straddles" if lo < t0 < hi else "edge"
+            seen["window " + where] += 1
+        return stitch(t0, v0, left, right, skip, lo, hi)
+
+    monkeypatch.setattr(pwl, "_stitch", spy)
+    _node_messages_match_literal_composition(seen)
+    for kind in ("window left", "window right", "window straddles", "tilts > 1",
+                 "UnboundedError", "EmptyDomainError"):
+        assert seen[kind] > 0, (kind, seen)
+
+
+def test_node_messages_small_degrees():
+    f = PwlConvex((0, 1, 2), (-1, 2), (1, 0))
+    g = PwlConvex.linear(1, 0, POS_INF)
+    phi = PwlConvex.linear(3, 0, 4)
+    # two operands: the sign folds into the affine map of the other one
+    assert node_messages([f, g], [1, -1], [(phi, -1, 2), (phi, -1, 5)]) == [
+        add_composed(phi, g.compose_affine(-1, 0), -1, 2),
+        add_composed(phi, f, -1, 5),
+    ]
+    with pytest.raises(ValueError):
+        node_messages([f], [1], [(phi, 1, 0)])
