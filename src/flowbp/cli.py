@@ -206,6 +206,8 @@ def cmd_approx(args) -> int:
 def cmd_gen(args) -> int:
     if args.arcs < args.nodes - 1:
         raise UsageError(f"need at least nodes-1 = {args.nodes - 1} arcs for connectivity")
+    if args.nodes < 2 and args.arcs > 0:
+        raise UsageError(f"{args.arcs} arcs need at least 2 nodes, got {args.nodes}")
     seed = _seed_from(args)
     net = gen.random_network(
         seed,

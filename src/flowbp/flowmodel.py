@@ -1,7 +1,7 @@
 """Network data model: instances, validation, DIMACS and JSON ingestion,
 degree-1 preprocessing, the residual-cycle certificate, the solvability
-gate, a min-cost-flow reference for linear costs, iteration bounds, and
-the node-capacity splitting reduction.
+gate, the exact min-cost-flow solver, iteration bounds, and the
+node-capacity splitting reduction.
 
 Everything here is plain integer code with no third-party imports.  The
 certificate :func:`min_cycle_cost` is the cheapest genuine residual cycle
@@ -10,7 +10,8 @@ so its readers decide optimality and uniqueness by comparing it with 0.
 The solvability gate (:func:`check_solvable`, a max-flow plus a
 negative-cycle test) is what the CLI runs before message passing, and
 :func:`min_cost_flow` (successive shortest paths on the gate's max-flow
-network) is the exact reference the (1+eps) scheme consults.
+network, one link per cost piece) is the package's one exact solver: the
+(1+eps) scheme and :func:`oracles.exact_solve` both run on it.
 
 Conventions.  Flow on an arc is bounded by ``0 <= x_e <= u_e`` with
 ``u_e = None`` meaning unbounded.  Node demands follow the net-supply
@@ -366,12 +367,14 @@ def _field(obj, key: str, kinds: tuple, where: str):
 
 
 def network_from_json_dict(d: dict) -> FlowNetwork:
-    """Read the canonical JSON form; a missing or mistyped field raises
-    :class:`JsonInstanceError`."""
-    demands = {
-        _field(nd, "id", (int,), "node"): _field(nd, "demand", (int,), "node")
-        for nd in _field(d, "nodes", (list,), "instance")
-    }
+    """Read the canonical JSON form; a missing or mistyped field, or a node
+    id listed twice, raises :class:`JsonInstanceError`."""
+    demands = {}
+    for nd in _field(d, "nodes", (list,), "instance"):
+        v = _field(nd, "id", (int,), "node")
+        if v in demands:
+            raise JsonInstanceError(f"node id {v} is listed twice")
+        demands[v] = _field(nd, "demand", (int,), "node")
     specs = []
     for ad in _field(d, "arcs", (list,), "instance"):
         aid, tail, head = (_field(ad, k, (int,), "arc") for k in ("id", "tail", "head"))
@@ -519,35 +522,35 @@ def min_cycle_cost(network: FlowNetwork, flows: Mapping[int, int]):
 
 
 class _Residual:
-    """The residual network of an instance with a super-source joined to
-    every supply node and a super-sink joined from every demand node, each
-    link carrying that node's demand; an uncapacitated arc carries at most
-    ``supply``, which no cycle-free flow exceeds.
+    """The residual network of ``links`` over the nodes of ``demands``,
+    with a super-source joined to every supply node and a super-sink
+    joined from every demand node, each link carrying that node's demand.
 
-    Residual edge ``e`` runs to ``head[e]`` with capacity ``cap[e]`` and
-    cost ``cost[e]``, and ``e ^ 1`` is its reverse, so arc ``i`` of
-    ``network.arcs`` is edge ``2 * i`` and carries flow ``cap[2 * i + 1]``.
+    A link ``(tail, head, capacity, cost, flow)`` starts with ``flow``
+    units on it.  Residual edge ``e`` runs to ``head[e]`` with capacity
+    ``cap[e]`` and cost ``cost[e]``, and ``e ^ 1`` is its reverse, so link
+    ``k`` is edge ``2 * k`` and carries flow ``cap[2 * k + 1]``.
     """
 
-    def __init__(self, network: FlowNetwork, supply: int, costs=None):
-        slot = {v: i for i, v in enumerate(network.demands)}
-        self.supply = supply
+    def __init__(self, demands: Mapping[int, int], links):
+        slot = {v: i for i, v in enumerate(demands)}
         self.source, self.sink = len(slot), len(slot) + 1
         self.adj: list[list[int]] = [[] for _ in range(len(slot) + 2)]
         self.head: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
         self.potential = [0] * len(self.adj)
-        for a, c in zip(network.arcs, costs or [0] * network.m):
-            self._link(slot[a.tail], slot[a.head], supply if a.capacity is None else a.capacity, c)
-        for v, f in network.demands.items():
+        for tail, head, cap, cost, flow in links:
+            self._link(slot[tail], slot[head], cap, cost, flow)
+        for v, f in demands.items():
             if f > 0:
-                self._link(self.source, slot[v], f, 0)
+                self._link(self.source, slot[v], f, 0, 0)
             elif f < 0:
-                self._link(slot[v], self.sink, -f, 0)
+                self._link(slot[v], self.sink, -f, 0, 0)
+        self.supply = _supply(demands)
 
-    def _link(self, u: int, v: int, c: int, cost: int) -> None:
-        for tail, head, cap, price in ((u, v, c, cost), (v, u, 0, -cost)):
+    def _link(self, u: int, v: int, c: int, cost: int, flow: int) -> None:
+        for tail, head, cap, price in ((u, v, c - flow, cost), (v, u, flow, -cost)):
             self.adj[tail].append(len(self.head))
             self.head.append(head)
             self.cap.append(cap)
@@ -623,30 +626,63 @@ class _Residual:
         return total
 
 
-def _supply(network: FlowNetwork) -> int:
-    return sum(f for f in network.demands.values() if f > 0)
+def _supply(demands: Mapping[int, int]) -> int:
+    return sum(f for f in demands.values() if f > 0)
+
+
+def flow_bound(network: FlowNetwork) -> int:
+    """``U = supply + every finite capacity + each uncapacitated cost's
+    last finite breakpoint + 1``: on an instance with an optimum, some
+    optimal flow stays below ``U`` on every uncapacitated arc.  So capping
+    them at ``U`` keeps the optimum, a unique one stays unique, and a tie
+    stays tied (the ``+ 1`` leaves room for its zero-cost cycle).
+
+    Proof sketch: decompose an optimal flow of least total flow into paths
+    and cycles.  The paths carry at most the supply.  Cancelling a cycle
+    must raise the cost, so each cycle's left derivatives sum below 0.
+    Cycles through a finite arc carry at most its capacity.  A cycle of
+    uncapacitated arcs alone has an arc at or below its last breakpoint,
+    else it would cost the last slopes, ``>= 0`` by :func:`check_solvable`;
+    so such cycles carry at most the sum of the last breakpoints.
+    """
+    return (
+        _supply(network.demands)
+        + sum(a.capacity for a in network.arcs if a.capacity is not None)
+        + sum(a.cost.breakpoints[-2] for a in network.arcs if a.capacity is None)
+        + 1
+    )
 
 
 def min_cost_flow(network: FlowNetwork) -> dict[int, int]:
-    """An optimal flow of an instance with linear non-negative integer
-    costs, by successive shortest paths through :class:`_Residual` (the
-    solvability gate's max-flow network, priced at the arc costs).
-
-    With non-negative costs some optimal flow is cycle-free, so capping
-    uncapacitated arcs at the total supply keeps the optimum.  Raises
-    ``ValueError`` on piecewise or negative costs and
+    """An optimal flow of an instance that passes :func:`check_solvable`,
+    by successive shortest paths through :class:`_Residual`; raises
     :class:`InfeasibleInstanceError` when the demands cannot be met.
+
+    Each cost piece is one link at its slope (exact by convexity), an
+    uncapacitated arc's last one ending at :func:`flow_bound`.  Negative
+    pieces start saturated, the demands moved to match, so every edge with
+    room costs ``>= 0`` and the Dijkstra potentials start at 0.  Linear
+    non-negative costs give one link per arc, in arc order.
     """
-    if not network.is_linear():
-        raise ValueError("the min-cost-flow reference requires linear arc costs")
-    costs = [network.linear_slope(a) for a in network.arcs]
-    if any(c < 0 for c in costs):
-        raise ValueError("the min-cost-flow reference requires non-negative costs")
-    supply = _supply(network)
-    residual = _Residual(network, supply, costs)
-    if residual.augment(residual.cheapest) < supply:
+    bound = flow_bound(network)
+    demands = dict(network.demands)
+    links, owners = [], []
+    for a in network.arcs:
+        bks = a.cost.breakpoints
+        for i, slope in enumerate(a.cost.slopes):
+            span = (bound if bks[i + 1] == POS_INF else bks[i + 1]) - bks[i]
+            flow = span if slope < 0 else 0
+            demands[a.tail] -= flow
+            demands[a.head] += flow
+            links.append((a.tail, a.head, span, slope, flow))
+            owners.append(a.id)
+    residual = _Residual(demands, links)
+    if residual.augment(residual.cheapest) < residual.supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
-    return {a.id: residual.cap[2 * i + 1] for i, a in enumerate(network.arcs)}
+    flows = dict.fromkeys(network.arc_by_id, 0)
+    for k, aid in enumerate(owners):
+        flows[aid] += residual.cap[2 * k + 1]
+    return flows
 
 
 def check_solvable(network: FlowNetwork) -> None:
@@ -658,14 +694,18 @@ def check_solvable(network: FlowNetwork) -> None:
     uncapacitated arcs, priced at their last slope, close a negative cycle,
     around which flow can grow without bound.  Without such a cycle the
     objective is bounded below, so an optimum exists.  The messages are
-    those of the network simplex reference (:func:`oracles.exact_solve`).
+    networkx's, whose network simplex the test suite checks the gate
+    against.
     """
-    supply = _supply(network)
+    supply = _supply(network.demands)
     if network.m == 0:
         if supply:
             raise InfeasibleInstanceError("nonzero demand with no arcs")
         return
-    residual = _Residual(network, supply)
+    residual = _Residual(network.demands, [
+        (a.tail, a.head, supply if a.capacity is None else a.capacity, 0, 0)
+        for a in network.arcs
+    ])
     if residual.augment(residual.fewest_arcs) < supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
     free = [(a.tail, a.head, a.cost.slopes[-1]) for a in network.arcs if a.capacity is None]

@@ -15,10 +15,13 @@ the user seed plus (decimation round, restart attempt), so runs are
 reproducible and each restart consumes an independent stream.  The draw is
 numpy's ``Generator(Philox(SeedSequence(seed, spawn_key))).integers``
 stream, computed here in plain integer Python, so no draw imports numpy.
-When the belief gap test has not separated yet, the probe loop asks an
-integer min-cost-flow reference (:func:`flowmodel.min_cost_flow`) whether
-the perturbed optimum is unique; only an all-zero-cost leftover calls
-networkx's network simplex (:func:`oracles.exact_solve`).
+When the belief gap test has not separated yet, the probe loop asks the
+integer min-cost-flow solver (:func:`flowmodel.min_cost_flow`) whether
+the perturbed optimum is unique; an all-zero-cost leftover takes that
+solver's flow, since any feasible flow is optimal there.
+
+The scheme takes linear non-negative integer costs only: piecewise costs
+and negative slopes raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .flowmodel import (
     min_cycle_cost,
     preprocess_degree,
 )
-from .oracles import exact_solve
 
 RESTART_BUDGET = 64
 
@@ -392,7 +394,7 @@ def approx_scheme(
     restart_budget: int = RESTART_BUDGET,
 ) -> ApproxResult:
     """The full decimation loop: (1+eps)-approximation for any feasible
-    integral instance.
+    instance with linear non-negative integer costs.
 
     Every round re-derives the grid step from the current shrunken
     instance, obtains a certified-unique perturbed optimum, pins the
@@ -414,8 +416,7 @@ def approx_scheme(
         if reduced.m == 0:
             break
         if reduced.c_max == 0:
-            sol = exact_solve(reduced)
-            fixed_total.update(sol.flows)
+            fixed_total.update(min_cost_flow(reduced))
             break
         res = aprxmt(reduced, eps, _seed_seq(seed, (index,)), restart_budget=restart_budget)
         target = max(reduced.arcs, key=lambda a: (reduced.linear_slope(a), -a.id))

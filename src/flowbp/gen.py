@@ -59,8 +59,11 @@ def random_network(
 
     ``cost_pieces > 1`` draws convex multi-piece arc costs (slope range
     still ``[0, c_max]``).  ``ensure_unique`` rejection-samples until the
-    exact optimum is unique; ``ensure_multiple`` until it is not.
+    exact optimum is unique; ``ensure_multiple`` until it is not.  Arcs
+    need two nodes, since self-loops are not allowed.
     """
+    if n < 2 and m > 0:
+        raise ValueError(f"{m} arcs need at least 2 nodes, got {n}")
     if ensure_unique and ensure_multiple:
         raise ValueError("ensure_unique and ensure_multiple are mutually exclusive")
     for attempt in range(max_tries):

@@ -1,8 +1,9 @@
 """Independent ground-truth machinery.
 
 This module supplies the references the solver is validated against: an
-exact min-cost-flow solver (network simplex on integer data, with convex
-piecewise costs reduced to parallel arcs per piece), an exhaustive
+exact min-cost-flow solver (the solvability gate, then the integer
+successive-shortest-paths solver :func:`flowmodel.min_cost_flow`, its
+result checked by the residual-cycle certificate), an exhaustive
 integral-flow enumerator for tiny instances, a uniqueness oracle based on
 residual cycle costs, and the breadth-first computation tree whose exact
 optimum the message-passing beliefs must reproduce.
@@ -10,21 +11,12 @@ optimum the message-passing beliefs must reproduce.
 None of it reuses the message-passing machinery: the tree problems are
 solved by a plain integer dynamic program so the two routes stay
 independent.
-
-networkx is imported inside the functions that use it (the exact solver),
-so importing this module, or any command that never calls the exact
-solver, does not load it: ``solve`` and ``check-unique`` never do, and
-``approx`` does only for an all-zero-cost leftover (its probe loop uses
-the integer :func:`flowmodel.min_cost_flow`).  The exact solver first runs
-the integer gate :func:`flowmodel.check_solvable`, which raises on
-infeasible and unbounded instances; network simplex only ever sees
-instances with an optimum (on some unbounded ones it never terminates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .errors import (
     BudgetExceededError,
@@ -38,12 +30,10 @@ from .flowmodel import (
     FlowNetwork,
     check_solvable,
     make_assignment,
+    min_cost_flow,
     min_cycle_cost,
 )
 from .pwl import POS_INF
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 ENUM_BUDGET = 10**7
 TREE_BUDGET = 10**5
@@ -53,58 +43,20 @@ TREE_BUDGET = 10**5
 # Exact reference solver
 
 
-def _piece_expanded_graph(network: FlowNetwork) -> tuple[nx.MultiDiGraph, int]:
-    """The instance as a networkx multigraph, one parallel edge per cost
-    piece (convexity makes the split exact), plus the constant objective
-    offset ``sum of costs at zero flow``."""
-    import networkx as nx
-
-    G = nx.MultiDiGraph()
-    base = 0
-    for v, f in network.demands.items():
-        G.add_node(v, demand=-f)
-    for a in network.arcs:
-        base += a.cost.evaluate(0)
-        bks = a.cost.breakpoints
-        for i, slope in enumerate(a.cost.slopes):
-            span = bks[i + 1] - bks[i] if bks[i + 1] != POS_INF else None
-            if span is None:
-                G.add_edge(a.tail, a.head, key=(a.id, i), weight=slope)
-            else:
-                G.add_edge(a.tail, a.head, key=(a.id, i), weight=slope, capacity=span)
-    return G, base
-
-
 def exact_solve(network: FlowNetwork) -> FlowAssignment:
     """An exact optimal integral flow.
 
     Raises :class:`InfeasibleInstanceError` when no feasible flow exists and
     :class:`UnboundedObjectiveError` when negative-cost structure with
     unbounded capacity makes the objective unbounded below (both from
-    :func:`flowmodel.check_solvable`, before network simplex runs).
+    :func:`flowmodel.check_solvable`, before the solver runs), and
+    :class:`ResultCheckError` when the solver's flow is infeasible or has
+    a negative residual cycle.
     """
     check_solvable(network)
-    if network.m == 0:
-        return FlowAssignment({}, 0, True)
-    import networkx as nx
-
-    G, base = _piece_expanded_graph(network)
-    try:
-        nx_cost, flow = nx.network_simplex(G)
-    except (nx.NetworkXUnfeasible, nx.NetworkXUnbounded) as exc:
-        raise ResultCheckError(
-            f"network simplex contradicts the solvability gate: {exc}"
-        ) from exc
-    flows = {a.id: 0 for a in network.arcs}
-    for _, targets in flow.items():
-        for _, keyed in targets.items():
-            for (aid, _piece), x in keyed.items():
-                flows[aid] += x
-    out = make_assignment(network, flows)
-    if not out.feasible or out.objective != nx_cost + base:
-        raise ResultCheckError(
-            f"network simplex flow is infeasible or misses its objective {nx_cost + base}"
-        )
+    out = make_assignment(network, min_cost_flow(network))
+    if not out.feasible or min_cycle_cost(network, out.flows) < 0:
+        raise ResultCheckError("the exact solver's flow is infeasible or not optimal")
     return out
 
 

@@ -1,7 +1,8 @@
 """Shared brute-force oracles and random generators for the test suite.
 
-Everything here is deliberately naive: grid minimization, exhaustive
-enumeration, and small random cases with fixed seeds.  These are the
+Everything here is deliberately naive or third-party: grid minimization,
+exhaustive enumeration, networkx's network simplex, and small random
+cases with fixed seeds.  These are the
 independent reference implementations the library is checked against, so
 they must not reuse the library's own algebra beyond plain evaluation.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from flowbp.flowmodel import FlowNetwork
+import networkx as nx
+
+from flowbp.flowmodel import FlowAssignment, FlowNetwork, make_assignment
 from flowbp.gen import random_network
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex
 
@@ -43,6 +46,43 @@ HANG_NETWORK = FlowNetwork.from_data(
         (7, 2, 1, None, -3),
     ],
 )
+
+
+def piece_expanded_graph(network: FlowNetwork) -> tuple[nx.MultiDiGraph, int]:
+    """The instance as a networkx multigraph, one parallel edge per cost
+    piece (convexity makes the split exact), plus the constant objective
+    offset ``sum of costs at zero flow``."""
+    G = nx.MultiDiGraph()
+    base = 0
+    for v, f in network.demands.items():
+        G.add_node(v, demand=-f)
+    for a in network.arcs:
+        base += a.cost.evaluate(0)
+        bks = a.cost.breakpoints
+        for i, slope in enumerate(a.cost.slopes):
+            if bks[i + 1] == POS_INF:
+                G.add_edge(a.tail, a.head, key=(a.id, i), weight=slope)
+            else:
+                G.add_edge(a.tail, a.head, key=(a.id, i), weight=slope,
+                           capacity=bks[i + 1] - bks[i])
+    return G, base
+
+
+def simplex_solve(network: FlowNetwork) -> FlowAssignment:
+    """An optimal flow by networkx's network simplex on the piece-expanded
+    graph: the reference ``exact_solve`` is checked against.  Only for
+    instances with an optimum: on some unbounded ones it never terminates."""
+    G, base = piece_expanded_graph(network)
+    cost, flow = nx.network_simplex(G)
+    flows = {a.id: 0 for a in network.arcs}
+    for targets in flow.values():
+        for keyed in targets.values():
+            for (aid, _piece), x in keyed.items():
+                flows[aid] += x
+    out = make_assignment(network, flows)
+    if not out.feasible or out.objective != cost + base:  # checked under python -O too
+        raise AssertionError(f"network simplex flow misses its objective {cost + base}")
+    return out
 
 
 def uncapacitated_network(seed: int, share: float, discount: int) -> FlowNetwork:

@@ -370,7 +370,62 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_the_standard_library():
+    # the package declares no runtime dependencies
+    package = Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(package)}:{node.lineno} {name}" for name in names
+                if name.split(".")[0] not in (*sys.stdlib_module_names, "flowbp")
+            ]
+    assert found == []
+
+
 _CLI = "import sys; from flowbp import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_gen_with_one_node_and_arcs_is_usage_error():
+    # no arc can join a node to itself, so drawing arcs on one node never ends
+    proc = _python("-c", _CLI, "gen", "--nodes", "1", "--arcs", "3", "--seed", "1", timeout=30)
+    assert proc.returncode == cli.EXIT_OTHER
+    assert json.loads(proc.stdout) == {"error": {
+        "kind": "other", "detail": "3 arcs need at least 2 nodes, got 1"}}
+
+
+def test_json_instance_with_a_repeated_node_id_is_parse_error(capsys, tmp_path):
+    d = network_to_json_dict(t1_network())
+    d["nodes"].insert(1, {"id": 1, "demand": 0})
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(d))
+    code, report = run_cli(capsys, "solve", "--input", str(p))
+    assert code == cli.EXIT_PARSE
+    assert report == {"error": {"kind": "parse", "detail": "node id 1 is listed twice"}}
+
+
+@pytest.mark.parametrize(
+    "cost, detail",
+    [
+        ({"breakpoints": [0, 1, 2], "slopes": [1, 2], "anchor": [0, 0]},
+         "the approximation scheme requires linear arc costs"),
+        (-1, "cost perturbation requires non-negative costs"),
+    ],
+)
+def test_approx_takes_linear_non_negative_costs_only(capsys, tmp_path, cost, detail):
+    d = network_to_json_dict(t1_network())
+    d["arcs"][2]["cost"] = cost
+    p = tmp_path / "costs.json"
+    p.write_text(json.dumps(d))
+    code, report = run_cli(capsys, "approx", "--input", str(p), "--epsilon", "1/2")
+    assert code == cli.EXIT_OTHER
+    assert report == {"error": {"kind": "other", "detail": detail}}
 
 
 @pytest.mark.parametrize(
@@ -418,8 +473,8 @@ print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
         (["check-unique", "--input", "T1"], []),
         (["gen", "--nodes", "5", "--arcs", "8", "--seed", "2"], []),
         (["approx", "--epsilon", "1/2", "--input", "T1"], []),
-        # an all-zero-cost leftover is solved by network simplex
-        (["approx", "--epsilon", "1/2", "--input", "ZERO"], ["networkx"]),
+        # an all-zero-cost leftover takes the integer min-cost-flow solver's flow
+        (["approx", "--epsilon", "1/2", "--input", "ZERO"], []),
     ],
 )
 def test_cold_start_loads_networkx_and_numpy_only_for_approx(tmp_path, t1_file, argv, loaded):

@@ -13,7 +13,6 @@ from flowbp.errors import (
 )
 from flowbp.bp_engine import belief, gap_test, init_messages, update_round
 from flowbp.flowmodel import (
-    FlowAssignment,
     FlowNetwork,
     check_feasible,
     min_cycle_cost,
@@ -239,15 +238,13 @@ def test_approx_scheme_zero_costs():
 
 
 def test_approx_scheme_rejects_infeasible_assembly(monkeypatch):
-    # zero-cost leftovers take the reference solver's flow; an infeasible
-    # one must raise, not be reported
+    # zero-cost leftovers take the min-cost-flow solver's flow; an
+    # infeasible one must raise, not be reported
     net = FlowNetwork.from_data(
         {1: 1, 2: 0, 3: -1},
         [(1, 1, 2, 2, 0), (2, 2, 3, 2, 0), (3, 1, 3, 2, 0)],
     )
-    monkeypatch.setattr(
-        fpras, "exact_solve", lambda n: FlowAssignment({a.id: 0 for a in n.arcs}, 0)
-    )
+    monkeypatch.setattr(fpras, "min_cost_flow", lambda n: {a.id: 0 for a in n.arcs})
     with pytest.raises(ResultCheckError):
         approx_scheme(net, Fraction(1, 2), seed=1)
 

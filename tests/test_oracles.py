@@ -18,6 +18,7 @@ from flowbp.flowmodel import (
     FlowNetwork,
     UNBOUNDED,
     check_solvable,
+    flow_bound,
     min_cost_flow,
     network_from_json_dict,
     objective_value,
@@ -36,7 +37,7 @@ from flowbp.oracles import (
     tree_solve_free,
 )
 from flowbp.pwl import POS_INF, PwlConvex
-from helpers import HANG_NETWORK, t1_network
+from helpers import HANG_NETWORK, piece_expanded_graph, simplex_solve, t1_network
 from test_fuzz_cli import SEED_DIMACS, SEED_JSON
 
 
@@ -48,20 +49,15 @@ def test_exact_solve_t1():
 
 
 def test_exact_solve_cross_check_raises(monkeypatch):
-    # the objective cross-check must hold under python -O too
-    simplex = nx.network_simplex
-    monkeypatch.setattr(
-        nx, "network_simplex", lambda G: (simplex(G)[0] + 1, simplex(G)[1])
-    )
+    # the solver's flow is checked, and the check must hold under python -O
+    monkeypatch.setattr(oracles, "min_cost_flow", lambda net: {1: 0, 2: 0, 3: 0})
     with pytest.raises(ResultCheckError):
         exact_solve(t1_network())
 
 
-def test_exact_solve_flags_a_simplex_verdict_against_the_gate(monkeypatch):
-    def unfeasible(G):
-        raise nx.NetworkXUnfeasible("no flow satisfies all node demands")
-
-    monkeypatch.setattr(nx, "network_simplex", unfeasible)
+def test_exact_solve_flags_a_flow_with_a_negative_residual_cycle(monkeypatch):
+    # feasible but not optimal: 1->2->3 against arc 3 backward costs -1
+    monkeypatch.setattr(oracles, "min_cost_flow", lambda net: {1: 0, 2: 0, 3: 1})
     with pytest.raises(ResultCheckError):
         exact_solve(t1_network())
 
@@ -110,7 +106,7 @@ def _simplex_outcome(net, limit_s: float = 2.0):
     """Outcome class and message of networkx's network simplex on the
     piece-expanded graph, or None when it runs out of time (on some
     unbounded instances it never terminates)."""
-    G, _ = oracles._piece_expanded_graph(net)
+    G, _ = piece_expanded_graph(net)
     try:
         with _time_limit(limit_s):
             nx.network_simplex(G)
@@ -256,29 +252,96 @@ def _perturbed_corpus(count: int, seed: int = 9):
         yield perturb_costs(net, eps, k).network
 
 
+def _piecewise_corpus(count: int, seed: int = 11):
+    """Gate-passing random instances with convex costs of 1-3 pieces,
+    slopes -4..4 and a random constant: n 2-6, m 1-10, about 30% of the
+    arcs uncapacitated, demands read off a random flow."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        n, m = rng.randint(2, 6), rng.randint(1, 10)
+        demands = {v: 0 for v in range(1, n + 1)}
+        specs = []
+        for aid in range(1, m + 1):
+            tail, head = rng.sample(range(1, n + 1), 2)
+            cap = None if rng.random() < 0.3 else rng.randint(1, 6)
+            k = rng.randint(1, 3 if cap is None else min(3, cap))
+            cuts = sorted(rng.sample(range(1, 5 if cap is None else cap), k - 1))
+            slopes = sorted(rng.sample(range(-4, 5), k))
+            end = POS_INF if cap is None else cap
+            specs.append((aid, tail, head, cap,
+                          PwlConvex((0, *cuts, end), slopes, (0, rng.randint(-3, 3)))))
+            x = rng.randint(0, 6 if cap is None else cap)
+            demands[tail] += x
+            demands[head] -= x
+        net = FlowNetwork.from_data(demands, specs)
+        if _gate_outcome(net)[0] == "optimal":
+            found += 1
+            yield net
+
+
+def _matches_simplex(net) -> bool:
+    """Assert that ``exact_solve`` agrees with network simplex: the same
+    objective, and the same flow on a unique optimum, which it returns."""
+    ours, ref = exact_solve(net), simplex_solve(net)
+    assert ours.objective == ref.objective
+    unique = is_unique_optimum(net, ref.flows)
+    if unique:
+        assert ours.flows == ref.flows
+    return unique
+
+
 def test_min_cost_flow_matches_network_simplex():
     parallel = uncapacitated = unique = 0
     corpus = list(_perturbed_corpus(1200))
     assert len(corpus) >= 1000
     for net in corpus:
-        ours = min_cost_flow(net)
-        ref = exact_solve(net)
-        assert objective_value(net, ours) == ref.objective
-        if is_unique_optimum(net, ref.flows):
-            unique += 1
-            assert ours == ref.flows
+        unique += _matches_simplex(net)
         ends = [(a.tail, a.head) for a in net.arcs]
         parallel += len(set(ends)) < len(ends)
         uncapacitated += any(a.capacity is None for a in net.arcs)
     assert parallel >= 100 and uncapacitated >= 100 and unique >= 900
 
 
+def test_exact_solve_matches_network_simplex():
+    gate = [net for net in _gate_corpus(2400) if _gate_outcome(net)[0] == "optimal"]
+    piecewise = list(_piecewise_corpus(1000))
+    seen = dict.fromkeys(("unique", "piecewise", "negative", "free", "negative free"), 0)
+    for net in gate + piecewise:
+        seen["unique"] += _matches_simplex(net)
+        seen["piecewise"] += not net.is_linear()
+        seen["negative"] += any(a.cost.slopes[0] < 0 for a in net.arcs if a.cost.slopes)
+        free = [a for a in net.arcs if a.capacity is None]
+        seen["free"] += bool(free)
+        seen["negative free"] += any(a.cost.slopes[-1] < 0 for a in free)
+    assert len(gate) >= 1000 and min(seen.values()) >= 500, seen
+
+
+@pytest.mark.parametrize(
+    "arcs, demands, bound, objective",
+    [
+        # every term of the flow bound is needed: the finite capacities ...
+        ([(1, 1, 2, None, -1), (2, 2, 1, 5, 0)], {1: 0, 2: 0}, 6, -5),
+        # ... the last finite breakpoint of an uncapacitated cost ...
+        ([(1, 1, 2, None, PwlConvex((0, 4, POS_INF), (-1, 0), (0, 0))),
+          (2, 2, 1, None, 0)], {1: 0, 2: 0}, 5, -4),
+        # ... and the supply
+        ([(1, 1, 2, None, 1)], {1: 3, 2: -3}, 4, 3),
+    ],
+)
+def test_min_cost_flow_caps_uncapacitated_arcs_at_the_flow_bound(arcs, demands, bound, objective):
+    net = FlowNetwork.from_data(demands, arcs)
+    assert flow_bound(net) == bound
+    assert exact_solve(net).objective == objective
+
+
 def test_min_cost_flow_input_checks():
-    with pytest.raises(ValueError, match="linear"):
-        min_cost_flow(FlowNetwork.from_data(
-            {1: 1, 2: -1}, [(1, 1, 2, 2, PwlConvex((0, 1, 2), (1, 2), (0, 0)))]))
-    with pytest.raises(ValueError, match="non-negative"):
-        min_cost_flow(FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, -1)]))
+    # piecewise costs: the cheaper piece fills first
+    pw = FlowNetwork.from_data({1: 2, 2: -2}, [(1, 1, 2, 2, PwlConvex((0, 1, 2), (1, 2), (0, 0)))])
+    assert min_cost_flow(pw) == {1: 2} and objective_value(pw, {1: 2}) == 3
+    # negative costs: both arcs saturate, around a cycle the demand never needs
+    neg = FlowNetwork.from_data({1: 1, 2: -1}, [(1, 1, 2, 2, -1), (2, 2, 1, 2, 0)])
+    assert min_cost_flow(neg) == {1: 2, 2: 1} and objective_value(neg, {1: 2, 2: 1}) == -2
     with pytest.raises(InfeasibleInstanceError):
         min_cost_flow(FlowNetwork.from_data({1: 3, 2: -3}, [(1, 1, 2, 2, 1)]))
     assert min_cost_flow(FlowNetwork.from_data({1: 0, 2: 0}, [(1, 1, 2, None, 0)])) == {1: 0}
