@@ -29,17 +29,21 @@ flow estimate.  On integral instances with a unique optimum the estimate is
 exactly optimal once the round count reaches the convergence bound, and a
 strict gap in the final beliefs detects uniqueness itself.
 
-A fixed point of the message *shapes* (messages modulo one additive
-constant each) is a fixed point of everything the estimate and the gap test
-depend on, because one round shifts each new message by a constant when its
-inputs are shifted by constants.  One round driver steps every solve, gap
-test and probe; it detects such an orbit (up to a verified slope drift) and
-answers "beliefs at round N" without executing all N rounds, with identical
-results, unless a per-round hook must see every table.
+Everything the estimate and the gap test depend on is read from the
+message *shapes* (messages modulo one additive constant each), because one
+round shifts each new message by a constant when its inputs are shifted by
+constants.  One round driver steps every solve, gap test and probe.  It
+finds orbits of the shapes: breakpoints that repeat with a period while
+each piece's slope moves by a fixed integer per period, certified from the
+tables alone for as many periods as the slope order at every node holds.
+It answers "beliefs at round N" by building the table of the orbit's last
+whole period before N and stepping the rest, with identical results,
+unless a per-round hook must see every table.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -48,11 +52,12 @@ from .errors import EmptyDomainError, InfeasibleFlowError
 from .flowmodel import (
     FlowAssignment,
     FlowNetwork,
+    cap_negative_uncapacitated,
     iteration_bound,
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, PwlConvex, node_messages, pointwise_diff
+from .pwl import POS_INF, Extended, PwlConvex, node_messages, pointwise_diff
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 
@@ -223,16 +228,20 @@ def run(
     unique.  ``patience`` enables an early exit once the estimate has been
     unchanged that many consecutive rounds; it is a heuristic (off by
     default) and forfeits the guarantee.  Degree-1-forced flows are merged
-    back into the returned assignment.
+    back into the returned assignment.  Uncapacitated arcs whose cost ends
+    on a negative slope are capped at ``flowmodel.flow_bound`` (which keeps
+    the optimum), so no message is ``-inf`` everywhere.
 
-    Rounds past a verified orbit are fast-forwarded (:class:`_Rounds`)
+    Rounds inside a certified orbit are fast-forwarded (:class:`_Rounds`)
     with identical results, so ``executed_rounds`` can be far below
-    ``rounds_used`` and ``state`` is the last executed table.  An
-    ``on_round`` hook sees every table, so it forces literal execution.
+    ``rounds_used``; ``state`` is the table of the last round, exact up to
+    one constant per message.  An ``on_round`` hook sees every table, so it
+    forces literal execution.
     """
     if rounds is not None and rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     reduced, fixed = preprocess_degree(network)
+    reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
         assignment = _merged_assignment(network, fixed, None)
         if not assignment.feasible:
@@ -271,7 +280,14 @@ def dump_round(state: MessageState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The round driver with its affine-periodic fast-forward, and the gap test
+# The round driver with its drift-orbit fast-forward, and the gap test
+
+
+def _same_breakpoints(old: MessageState, new: MessageState) -> bool:
+    return all(
+        f.breakpoints == g.breakpoints
+        for f, g in zip(new.messages.values(), old.messages.values())
+    )
 
 
 def _same_shape(old: MessageState, new: MessageState) -> bool:
@@ -329,76 +345,281 @@ def _invariant_tilt(
     return {k: (0 if a is None else a) for k, a in alpha.items()}
 
 
+def _drift(old: MessageState, new: MessageState) -> tuple[tuple[int, ...], ...]:
+    """Per message in table order, the slope change of each piece from
+    ``old`` to ``new`` (tables with equal breakpoints)."""
+    return tuple(
+        tuple(map(operator.sub, g.slopes, f.slopes))
+        for f, g in zip(old.messages.values(), new.messages.values())
+    )
+
+
+def _periods_kept(network: FlowNetwork, old: MessageState, new: MessageState) -> Extended:
+    """For how many periods the slope order at every node holds, when
+    ``new`` is ``old`` one period later with equal breakpoints.
+
+    At each node of degree 3 or more, the signed slopes of all incoming
+    pieces are sorted by their ``old`` values.  Neighbours ``d0`` apart
+    there and ``d1`` apart in ``new`` are ``d0 + k * (d1 - d0)`` apart
+    after ``k`` periods of the same drift, so a gap that closes stays
+    positive for ``k < ceil(d0 / (d0 - d1))``.  Returns the least such
+    bound (``POS_INF`` when no gap closes), or 0 when the order already
+    differs: a tie that splits, or neighbours that meet or swap.  A node of
+    degree 2 adds its one input to the arc cost and compares no slopes.
+    """
+    kept: Extended = POS_INF
+    for node in _plan(network).nodes:
+        if len(node.sources) < 3:
+            continue
+        x0: list[int] = []
+        x1: list[int] = []
+        for key, sign in zip(node.sources, node.signs):
+            x0 += [sign * s for s in old.messages[key].slopes]
+            x1 += [sign * s for s in new.messages[key].slopes]
+        order = sorted(range(len(x0)), key=x0.__getitem__)
+        for i, j in zip(order, order[1:]):
+            d0, d1 = x0[j] - x0[i], x1[j] - x1[i]
+            if d1 == d0:
+                continue
+            if d0 == 0 or d1 <= 0:
+                return 0
+            if d1 < d0:
+                kept = min(kept, -(-d0 // (d0 - d1)))
+    return kept
+
+
+class _Orbit(NamedTuple):
+    """Tables ``start + k * period`` are ``start`` with every slope moved
+    by ``k`` times its drift, up to one constant per message, through
+    round ``end``."""
+
+    start: MessageState
+    period: int
+    drift: tuple[tuple[int, ...], ...]  # per message in table order, per piece
+    end: Extended  # last certified round; POS_INF when the orbit never ends
+    uniform: bool  # one tilt per message, the same drift in every phase
+
+    def table(self, periods: int) -> MessageState:
+        start = self.start
+        return MessageState(
+            start.round + periods * self.period,
+            {
+                key: PwlConvex._trusted(
+                    f.breakpoints, [s + periods * d for s, d in zip(f.slopes, drift)], f.anchor
+                ) if any(drift) else f
+                for (key, f), drift in zip(start.messages.items(), self.drift)
+            },
+        )
+
+
+@dataclass
+class _Candidate:
+    """A drift orbit under test: the tables of its first two periods."""
+
+    period: int
+    tables: list[MessageState]  # from its start on
+
+
+@dataclass
+class _Clock:
+    """The drift over each ``period`` rounds, hashed, watched until one
+    repeats: the orbit's period is then that many periods."""
+
+    period: int
+    last: MessageState  # the table the next drift is taken from
+    seen: dict[int, int]  # drift hash -> the count of periods it was seen at
+    periods: int
+
+
 class _Rounds:
     """The message recursion on one reduced network, stepped on demand
     through the module-level :func:`update_round`.
 
-    Without an ``on_round`` hook, each new table is compared with one
-    checkpoint table, moved to the current round at each power of two
-    (Brent's cycle detection).  A match up to ``alpha_k * z + beta_k`` per
-    message that :func:`_invariant_tilt` certifies is an orbit: from the
-    checkpoint on, round ``r + period`` is round ``r`` plus ``alpha``, up
-    to one constant per message.
+    Without an ``on_round`` hook, every stepped table is searched for an
+    orbit, in two ways:
+
+    * Uniform orbits, looked for first: each table is compared with
+      one checkpoint table, moved to the current round at each power of
+      two rounds since the search started (Brent's cycle detection).  A
+      match up to ``alpha_k * z + beta_k`` per message that
+      :func:`_invariant_tilt` certifies is an orbit with no end: every later
+      table is a tilt of one a whole number of periods back.
+    * Drift orbits: once the breakpoints repeat with a least period ``P``
+      over ``2P`` rounds (one hash per table), the next two periods are
+      stepped as usual.  They certify an orbit when every phase keeps its
+      breakpoints, each piece's slope moves by the same integer over the
+      third period's first round as over the first, and the slope order at
+      every node holds for :func:`_periods_kept` periods, more than two.  A
+      round's output is a function of its input modulo constants, and
+      canonical, so its breakpoints follow from the input breakpoints and
+      those orders, and its slopes are input slopes plus arc-cost slopes:
+      the tables stay exact through the certified end.  When the drift does
+      not repeat, the drifts over further periods are hashed until one
+      does, and its multiple of ``P`` is tried next.
+
+    :meth:`beliefs` lands on the orbit's last round a whole number of
+    periods from its start at or before the target (a table built by
+    moving each slope along its drift), steps the rest, and never steps
+    past its target.  Past a drift orbit's end the rounds are stepped and
+    searched again.  ``executed`` counts the stepped rounds.
     """
 
     def __init__(self, reduced: FlowNetwork, on_round=None):
         self.network = reduced
         self.on_round = on_round
-        self.state = self._checkpoint = init_messages(reduced)
-        self.piece_totals: list[int] = []  # entry r - 1 belongs to round r
-        self.orbit: Optional[tuple[int, int, dict[MessageKey, int]]] = None  # start, period, alpha
+        self.state = init_messages(reduced)
+        self.executed = 0
+        self.orbit: Optional[_Orbit] = None
+        self._counts: dict[int, int] = {}  # total message pieces per table built
+        self._windows: list[tuple[int, int, Extended]] = []  # (stepped from, period, end)
+        self._search_from(self.state)
 
-    @property
-    def executed(self) -> int:
-        return self.state.round
+    def _search_from(self, state: MessageState) -> None:
+        self._checkpoint, self._checkpoint_key = state, None
+        self._origin = state.round
+        self._hashes: list[int] = []  # breakpoint hash per stepped round
+        self._seen: dict[int, list[int]] = {}  # hash -> its positions in _hashes
+        self._candidate: Optional[_Candidate] = None
+        self._clock: Optional[_Clock] = None
+
+    def _built(self, state: MessageState) -> None:
+        self.state = state
+        self._counts[state.round] = sum(m.piece_count for m in state.messages.values())
 
     def _step(self) -> None:
         if self.state.round:
-            self.state = update_round(self.network, self.state)
+            self._built(update_round(self.network, self.state))
         else:  # every round-0 message is zero, so round 1 is the arc costs
             plan = _plan(self.network)
-            self.state = MessageState(1, dict(zip(plan.keys, plan.costs)))
-        self.piece_totals.append(sum(m.piece_count for m in self.state.messages.values()))
+            self._built(MessageState(1, dict(zip(plan.keys, plan.costs))))
+        self.executed += 1
         if self.on_round is not None:
             self.on_round(self.network, self.state)
         elif self.orbit is None:
-            t, check = self.state.round, self._checkpoint
-            if _same_shape(check, self.state):
-                alpha = _invariant_tilt(self.network, check, self.state)
-                if alpha is not None:
-                    self.orbit = (check.round, t - check.round, alpha)
-            if t & (t - 1) == 0:
-                self._checkpoint = self.state
+            self._search()
+
+    def _search(self) -> None:
+        state, check = self.state, self._checkpoint
+        if self._candidate is not None:
+            self._test_candidate()
+            if self.orbit is not None:
+                return
+        elif self._clock is not None:
+            self._tick_clock()
+        key = hash(tuple(f.breakpoints for f in state.messages.values()))
+        if key == self._checkpoint_key and _same_shape(check, state):
+            alpha = _invariant_tilt(self.network, check, state)
+            if alpha is not None:
+                drift = tuple((alpha[k],) * len(f.slopes) for k, f in state.messages.items())
+                self._certify(_Orbit(state, state.round - check.round, drift, POS_INF, True), check.round)
+                return
+        self._hashes.append(key)
+        self._seen.setdefault(key, []).append(len(self._hashes) - 1)
+        if self._candidate is None and self._clock is None:
+            period = self._breakpoint_period()
+            if period:
+                self._candidate = _Candidate(period, [state])
+        t = state.round - self._origin
+        if t & (t - 1) == 0:
+            self._checkpoint, self._checkpoint_key = state, key
+
+    def _breakpoint_period(self) -> int:
+        """The least ``P`` such that the breakpoints of the last ``P``
+        rounds repeat those of the ``P`` before, or 0."""
+        hashes = self._hashes
+        r = len(hashes) - 1
+        for prev in reversed(self._seen[hashes[r]][:-1]):
+            p = r - prev
+            if 2 * p > len(hashes):
+                break
+            if all(hashes[r - j] == hashes[prev - j] for j in range(1, p)):
+                return p
+        return 0
+
+    def _test_candidate(self) -> None:
+        cand, state = self._candidate, self.state
+        tables, period = cand.tables, cand.period
+        tables.append(state)
+        i = len(tables) - 1
+        if i < period:
+            return
+        if not _same_breakpoints(tables[i - period], state):
+            self._candidate = None
+            return
+        if i < 2 * period:
+            return
+        self._candidate = None
+        drift = _drift(tables[0], tables[period])
+        again = _drift(tables[period], state)
+        if again == drift:
+            kept = min(_periods_kept(self.network, tables[p], tables[p + period]) for p in range(period))
+            if kept > 2:  # the first two periods are stepped anyway
+                end = tables[0].round + kept * period
+                self._certify(_Orbit(state, period, drift, end, False), tables[0].round)
+                return
+        if self._clock is None:
+            self._clock = _Clock(period, state, {hash(drift): 1, hash(again): 2}, 2)
+
+    def _tick_clock(self) -> None:
+        clock, state = self._clock, self.state
+        if (state.round - clock.last.round) % clock.period:
+            return
+        if not _same_breakpoints(clock.last, state):
+            self._clock = None
+            return
+        key = hash(_drift(clock.last, state))
+        clock.periods += 1
+        clock.last = state
+        if key in clock.seen:
+            self._clock = None
+            self._candidate = _Candidate((clock.periods - clock.seen[key]) * clock.period, [state])
+        else:
+            clock.seen[key] = clock.periods
+
+    def _certify(self, orbit: _Orbit, stepped_from: int) -> None:
+        self.orbit = orbit
+        self._candidate = None
+        self._windows.append((stepped_from, orbit.period, orbit.end))
+
+    def _land(self, target: int) -> None:
+        """Move along the orbit to its last round at or before ``target``
+        (and its end) a whole number of periods from its start.  At the
+        end the orbit is left and the search starts over."""
+        orbit = self.orbit
+        last = target
+        if target >= orbit.end:
+            last = orbit.end
+            self.orbit = None
+        periods = (last - orbit.start.round) // orbit.period
+        if orbit.start.round + periods * orbit.period > self.state.round:
+            self._built(orbit.table(periods))
+        if self.orbit is None:
+            self._search_from(self.state)
 
     def beliefs(self, target: int) -> dict[int, PwlConvex]:
         """Round-``target`` beliefs, each exact up to an additive constant
-        (``target`` must not decrease between calls).  On the orbit, the
-        rounds left are reduced modulo the period, and each belief gains
-        ``periods * (alpha_tail + alpha_head)`` slope: callers read only
+        (``target`` must not decrease between calls): callers read only
         belief differences (minimizers, gap comparisons)."""
-        while self.state.round < target and self.orbit is None:
-            self._step()
-        periods = 0
-        if self.orbit is not None:
-            _, period, alpha = self.orbit
-            for _ in range((target - self.state.round) % period):
+        while self.state.round < target:
+            if self.orbit is not None:
+                self._land(target)
+            if self.state.round < target:
                 self._step()
-            periods = (target - self.state.round) // period
-        out = {}
-        for a in self.network.arcs:
-            b = belief(self.network, self.state, a.id)
-            if periods:
-                b = b.tilt(periods * (alpha[(a.id, a.tail)] + alpha[(a.id, a.head)]))
-            out[a.id] = b
-        return out
+        if self.orbit is not None and self.orbit.uniform:
+            # the same tilt in every phase: any table starts the orbit
+            self.orbit = self.orbit._replace(start=self.state)
+        return {a.id: belief(self.network, self.state, a.id) for a in self.network.arcs}
 
     def piece_total(self, r: int) -> int:
-        """Total message pieces at round ``r``, executed or on the orbit
-        (a tilt keeps piece counts)."""
-        if r > self.state.round:
-            start, period, _ = self.orbit
-            r = start + (r - start - 1) % period + 1
-        return self.piece_totals[r - 1]
+        """Total message pieces at round ``r`` (at most the current round):
+        of a table built, or of one a whole number of periods back in a
+        certified window, whose breakpoints repeat with the period."""
+        if r in self._counts:
+            return self._counts[r]
+        for stepped, period, end in self._windows:
+            if stepped <= r <= end:
+                return self._counts[stepped + (r - stepped) % period]
+        raise ValueError(f"round {r} has not been reached")
 
 
 def gap_test(
@@ -433,11 +654,13 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
     """Decide whether the instance has a unique optimal flow.
 
     Runs the message recursion for the uniqueness round budget of the
-    reduced instance and applies the belief gap test with threshold
+    reduced instance (negative-cost uncapacitated arcs capped, as in
+    :func:`run`) and applies the belief gap test with threshold
     ``n * c_max``.  When unique, the accompanying estimate is the exact
     optimum and is returned merged with any degree-1-forced flows.
     """
     reduced, fixed = preprocess_degree(network)
+    reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
         assignment = _merged_assignment(network, fixed, None)
         return UniquenessResult(True, assignment, 0, 0)

@@ -653,6 +653,27 @@ def flow_bound(network: FlowNetwork) -> int:
     )
 
 
+def cap_negative_uncapacitated(network: FlowNetwork) -> FlowNetwork:
+    """``network`` with every uncapacitated arc whose cost ends on a
+    negative slope capped at :func:`flow_bound`, which keeps the optimum
+    and whether it is unique.  Without the cap, such arcs let the message
+    recursion push unbounded flow out along one and back along another,
+    and a message is ``-inf`` everywhere."""
+    capped = {
+        a.id for a in network.arcs
+        if a.capacity is None and a.cost.slopes and a.cost.slopes[-1] < 0
+    }
+    if not capped:
+        return network
+    bound = flow_bound(network)
+    return FlowNetwork(network.demands, [
+        Arc(a.id, a.tail, a.head, bound,
+            PwlConvex(a.cost.breakpoints[:-1] + (bound,), a.cost.slopes, a.cost.anchor))
+        if a.id in capped else a
+        for a in network.arcs
+    ])
+
+
 def min_cost_flow(network: FlowNetwork) -> dict[int, int]:
     """An optimal flow of an instance that passes :func:`check_solvable`,
     by successive shortest paths through :class:`_Residual`; raises

@@ -219,19 +219,24 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
         raise ValueError("cost perturbation requires non-negative costs")
     if network.c_max == 0:
         raise ZeroCostInstanceError("all costs are zero; any feasible flow is optimal")
-    m, n = network.m, network.n
-    t = Fraction(network.c_max) * eps / (4 * m * n)
+    m, n, c_max = network.m, network.n, network.c_max
+    # With eps = p/q the grid step is t = c_max p / (4mn q), so s / t is
+    # s * 4mn q / (c_max p): every grid quantity below is one integer
+    # numerator over the denominator ``den``.
+    per, den = 4 * m * n * eps.denominator, c_max * eps.numerator
     ss = _seed_seq(seed)
     noise = dict(zip(sorted(slopes), ss.integers(1, 4 * m + 1, m)))
     arcs = []
     for a in network.arcs:
-        scaled = 4 * m * math.floor(Fraction(slopes[a.id]) / t) + noise[a.id]
-        if scaled < 1 or abs(scaled - Fraction(4 * m * slopes[a.id]) / t) > 4 * m:
+        s = slopes[a.id]
+        scaled = 4 * m * (s * per // den) + noise[a.id]
+        if scaled < 1 or abs(scaled * den - 4 * m * s * per) > 4 * m * den:
             raise ResultCheckError(f"scaled cost {scaled} of arc {a.id} is off its grid")
         arcs.append(Arc(a.id, a.tail, a.head, a.capacity, linear_cost(scaled, a.capacity)))
     perturbed = FlowNetwork(network.demands, arcs)
-    if perturbed.c_max > 4 * m * math.floor(Fraction(network.c_max) / t) + 4 * m:
+    if perturbed.c_max > 4 * m * (c_max * per // den) + 4 * m:
         raise ResultCheckError(f"perturbed c_max {perturbed.c_max} exceeds its bound")
+    t = Fraction(den, per)
     return PerturbedInstance(perturbed, t, noise, (ss.entropy, ss.spawn_key))
 
 
@@ -258,8 +263,10 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     passes iff the instance has a unique optimum, and the estimate then
     *is* that optimum.  Both facts let us shortcut the astronomical round
     count without changing any output.  The recursion is probed once at
-    each round of the fixed schedule 8, 16, ..., ``PROBE_CAP`` (the round
-    driver fast-forwards them along a verified orbit):
+    each round of the fixed schedule 8, 16, ..., ``PROBE_CAP``; the round
+    driver reaches a probe inside a certified orbit by building the table
+    of its last whole period and stepping the rest, so draws whose slopes
+    drift apart skip most rounds too:
 
     * when the gap test passes at a feasible estimate whose residual-cycle
       certificate is not negative, the estimate is optimal, and the

@@ -5,6 +5,8 @@ exhaustive enumeration, networkx's network simplex, and small random
 cases with fixed seeds.  These are the
 independent reference implementations the library is checked against, so
 they must not reuse the library's own algebra beyond plain evaluation.
+The one exception is :func:`literal_tables`, the message recursion run
+round by round, against which the round driver's shortcuts are checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 
 import networkx as nx
 
-from flowbp.flowmodel import FlowAssignment, FlowNetwork, make_assignment
+from flowbp.bp_engine import MessageState, init_messages, update_round
+from flowbp.flowmodel import FlowAssignment, FlowNetwork, make_assignment, preprocess_degree
+from flowbp.fpras import _seed_seq, perturb_costs
 from flowbp.gen import random_network
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex
 
@@ -46,6 +50,33 @@ HANG_NETWORK = FlowNetwork.from_data(
         (7, 2, 1, None, -3),
     ],
 )
+
+
+def literal_tables(network: FlowNetwork, rounds: int) -> list[MessageState]:
+    """The message tables of rounds ``0..rounds``, every round executed by
+    ``update_round``: the literal recursion that every fast-forward is
+    checked against."""
+    tables = [init_messages(network)]
+    for _ in range(rounds):
+        tables.append(update_round(network, tables[-1]))
+    return tables
+
+
+def same_modulo_constants(a, b) -> bool:
+    """Whether two functions, or two message tables of the same round and
+    keys, differ by one additive constant per function: the same pieces,
+    and the same value differences between every pair of finite
+    breakpoints."""
+    if isinstance(a, MessageState):
+        return (
+            a.round == b.round
+            and list(a.messages) == list(b.messages)
+            and all(same_modulo_constants(f, b.messages[k]) for k, f in a.messages.items())
+        )
+    if a.breakpoints != b.breakpoints or a.slopes != b.slopes:
+        return False
+    points = [x for x in a.breakpoints if x not in (NEG_INF, POS_INF)] or [a.anchor[0]]
+    return len({a.evaluate(x) - b.evaluate(x) for x in points}) == 1
 
 
 def piece_expanded_graph(network: FlowNetwork) -> tuple[nx.MultiDiGraph, int]:
@@ -96,6 +127,27 @@ def uncapacitated_network(seed: int, share: float, discount: int) -> FlowNetwork
         cost = a.cost.slopes[0] - (discount if cap is None else 0)
         specs.append((a.id, a.tail, a.head, cap, cost))
     return FlowNetwork.from_data(dict(base.demands), specs)
+
+
+#: Calls of the benchmark's seed-2 ``approx`` batch whose first draw runs
+#: all 32 or all 64 probe rounds without reaching a uniform orbit.
+HEAVY_APPROX_CALLS = (1, 24, 37, 155, 202)
+
+
+def approx_batch_draw(seed: int, i: int) -> FlowNetwork:
+    """The first noise draw of ``approx`` on call ``i`` of the benchmark's
+    ``approx`` batch for ``seed``: a criterion-8-shaped instance with a
+    unique optimum, at epsilon 1/10 or 1/2, perturbed as decimation round
+    0, attempt 0 does it."""
+    rng = random.Random(f"approx:{seed}:{i}")
+    j = i // 2
+    net = random_network(
+        seed * 100_000 + j, n=4 + j % 3, m=5 + j % 3, c_max=1 + rng.randrange(5),
+        cap_max=1 + rng.randrange(3), ensure_unique=True,
+    )
+    eps = Fraction(1, 10) if i % 2 == 0 else Fraction(1, 2)
+    stream = _seed_seq(_seed_seq(seed * 100_000 + j, (0,)), (0,))
+    return perturb_costs(preprocess_degree(net)[0], eps, stream).network
 
 
 def brute_min_pair(f: PwlConvex, g: PwlConvex, t, lo=-16, hi=16, per_unit=8):

@@ -443,17 +443,22 @@ def test_unbounded_instance_fails_fast(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["solve", "--iters", "4"], ["check-unique"]])
-def test_negative_infinite_message_exits_with_error_object(tmp_path, argv):
-    # the instance passes the gate, but its uncapacitated negative-cost
-    # arcs drive a message to -inf everywhere: the documented exit 1
+@pytest.mark.parametrize("argv", [["solve"], ["check-unique"]])
+def test_negative_cost_uncapacitated_instance_exits_zero(tmp_path, argv):
+    # the instance passes the gate and has uncapacitated negative-cost
+    # arcs; capped at the flow bound, they leave every message finite, and
+    # the reports carry the unique optimum
     path = tmp_path / "neg.json"
     net = uncapacitated_network(7300, share=0.4, discount=2)
     path.write_text(json.dumps(network_to_json_dict(net)))
     proc = _python("-c", _CLI, *argv, "--input", str(path), timeout=60)
-    assert proc.returncode == cli.EXIT_OTHER
-    assert json.loads(proc.stdout) == {"error": {
-        "kind": "other", "detail": "infimal convolution is -inf everywhere"}}
+    assert proc.returncode == cli.EXIT_OK, proc.stdout
+    report = json.loads(proc.stdout)
+    opt = exact_solve(net)
+    assert is_unique_optimum(net, opt.flows)
+    assert report["flow"] == {str(aid): z for aid, z in sorted(opt.flows.items())}
+    assert report["objective"] == opt.objective
+    assert report.get("unique", True)
     assert "Traceback" not in proc.stderr
 
 

@@ -1,5 +1,9 @@
+import json
+from fractions import Fraction
+
 import pytest
 
+from flowbp import bp_engine, cli
 from flowbp.bp_engine import (
     MessageState,
     _Rounds,
@@ -12,12 +16,27 @@ from flowbp.bp_engine import (
     run,
     update_round,
 )
-from flowbp.flowmodel import FlowNetwork, check_solvable, iteration_bound, preprocess_degree
-from flowbp.fpras import perturb_costs
+from flowbp.errors import InfeasibleInstanceError, UnboundedObjectiveError
+from flowbp.flowmodel import (
+    FlowNetwork,
+    check_solvable,
+    iteration_bound,
+    network_to_json_dict,
+    preprocess_degree,
+)
+from flowbp.fpras import _seed_seq, perturb_costs
 from flowbp.gen import hard_instance, random_network
 from flowbp.oracles import build_tree, exact_solve, is_unique_optimum, tree_solve
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex, scaled_interpolation
-from helpers import leave_one_out_tilts, t1_network, uncapacitated_network
+from helpers import (
+    HEAVY_APPROX_CALLS,
+    approx_batch_draw,
+    leave_one_out_tilts,
+    literal_tables,
+    same_modulo_constants,
+    t1_network,
+    uncapacitated_network,
+)
 
 
 def test_init_messages_t1():
@@ -287,9 +306,7 @@ def test_detect_uniqueness_fast_equals_slow():
         fast = detect_uniqueness(net)
         reduced, fixed = preprocess_degree(net)
         total = iteration_bound(reduced, "uniqueness")
-        state = init_messages(reduced)
-        for _ in range(total):
-            state = update_round(reduced, state)
+        state = literal_tables(reduced, total)[-1]
         beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
         unique, est = gap_test(reduced, beliefs, reduced.n * reduced.c_max)
         assert fast.unique == unique
@@ -305,15 +322,6 @@ def test_detect_uniqueness_empty_after_preprocessing():
     assert res.assignment.flows == {1: 1}
 
 
-def _same_up_to_constant(fast, lit):
-    # same pieces, and values that differ by one constant on the domain
-    assert fast.breakpoints == lit.breakpoints and fast.slopes == lit.slopes
-    lo, hi = lit.domain
-    off = fast.evaluate(lo) - lit.evaluate(lo)
-    for z in range(lo, hi + 1):
-        assert fast.evaluate(z) - lit.evaluate(z) == off
-
-
 def test_fast_beliefs_match_literal_run():
     # the periodic-orbit shortcut must reproduce round-N beliefs exactly
     # up to one additive constant per arc
@@ -326,11 +334,9 @@ def test_fast_beliefs_match_literal_run():
         driver = _Rounds(net)
         fast = driver.beliefs(target)
         assert driver.executed < target
-        lit = init_messages(net)
-        for _ in range(target):
-            lit = update_round(net, lit)
+        lit = literal_tables(net, target)[-1]
         for a in net.arcs:
-            _same_up_to_constant(fast[a.id], belief(net, lit, a.id))
+            assert same_modulo_constants(fast[a.id], belief(net, lit, a.id))
 
 
 def test_beliefs_match_computation_tree():
@@ -453,14 +459,165 @@ def test_one_driver_answers_increasing_targets_like_fresh_drivers():
             shared = driver.beliefs(t)
             fresh = _Rounds(reduced).beliefs(t)
             for aid, b in fresh.items():
-                _same_up_to_constant(shared[aid], b)
+                assert same_modulo_constants(shared[aid], b)
             assert driver.executed <= t
         orbits += driver.orbit is not None
         lit = _Rounds(reduced, on_round=lambda *_: None)
         lit.beliefs(120)
         for r in range(1, 121):
-            assert driver.piece_total(r) == lit.piece_totals[r - 1], (name, r)
+            assert driver.piece_total(r) == lit.piece_total(r), (name, r)
     assert orbits >= 5  # tied and hard instances reach an orbit early
+
+
+def test_negative_cost_uncapacitated_arcs_are_solved_under_a_flow_bound_cap():
+    # gate-passing instances with a negative-cost uncapacitated arc: capped
+    # at the flow bound, every message stays finite, run is exact on the
+    # unique ones and detect_uniqueness agrees with the residual-cycle test
+    cases = 0
+    for seed in range(7300, 7360):
+        net = uncapacitated_network(seed, share=0.4, discount=2)
+        try:
+            check_solvable(net)
+        except (InfeasibleInstanceError, UnboundedObjectiveError):
+            continue
+        if not any(a.capacity is None and a.cost.slopes[-1] < 0 for a in net.arcs):
+            continue
+        cases += 1
+        opt = exact_solve(net)
+        unique = is_unique_optimum(net, opt.flows)
+        detected = detect_uniqueness(net)
+        assert detected.unique == unique, seed
+        if unique:
+            assert run(net).assignment.flows == opt.flows, seed
+            assert detected.assignment.flows == opt.flows, seed
+    assert cases == 43
+
+
+@pytest.mark.parametrize("supply, cap", [(1, 1), (2, 1), (3, 2)])
+def test_flow_bound_cap_leaves_room_for_a_tie(supply, cap):
+    # arc 1 (cost -1) and arc 3 (cost 1) close a zero-cost uncapacitated
+    # cycle, so every optimum puts supply + cap or more on arc 1; the cap at
+    # the flow bound supply + cap + 1 must keep two of them, a tie
+    net = FlowNetwork.from_data(
+        {1: supply, 2: -supply}, [(1, 1, 2, None, -1), (2, 2, 1, cap, 0), (3, 2, 1, None, 1)]
+    )
+    check_solvable(net)
+    assert not is_unique_optimum(net, exact_solve(net).flows)
+    assert not detect_uniqueness(net).unique
+
+
+def test_periods_kept_counts_periods_until_a_slope_gap_closes():
+    # node 0 has three incoming messages: along arcs 1 and 2 (entering, so
+    # their slopes count negated) and arc 3 (leaving); one piece each
+    net = FlowNetwork.from_data(
+        {0: 0, 1: 0, 2: 0, 3: 0}, [(1, 1, 0, 9, 0), (2, 2, 0, 9, 0), (3, 0, 3, 9, 0)]
+    )
+
+    def table(s1, s2, s3):
+        return MessageState(0, {
+            (aid, 0): PwlConvex.linear(s, 0, 9) for aid, s in ((1, s1), (2, s2), (3, s3))
+        })
+
+    def kept(old, new):
+        return bp_engine._periods_kept(net, table(*old), table(*new))
+
+    # signed slopes -2 < 0 < 5: both gaps grow
+    assert kept((0, 2, 5), (0, 3, 7)) == POS_INF
+    # the gap 5 shrinks by 2 a period: positive for k < ceil(5 / 2) = 3
+    assert kept((0, 2, 5), (0, 2, 3)) == 3
+    # the gap 2 shrinks by 1 and the gap 5 by 1: the first closes first
+    assert kept((0, 2, 5), (0, 1, 4)) == 2
+    # neighbours that meet or swap within the period, or a tie that splits
+    assert kept((0, 2, 5), (0, 2, 0)) == 0
+    assert kept((0, 2, 5), (0, 2, -1)) == 0
+    assert kept((0, 0, 5), (1, 0, 5)) == 0
+    assert kept((0, 0, 5), (1, 1, 6)) == POS_INF  # a tie that holds
+
+
+def _first_draw_of_slow_approx():
+    # the first draw of approx_scheme(random_network(1, n=10, m=20), 1/2,
+    # seed=1), which once ran all 16,384 probe rounds
+    reduced = preprocess_degree(random_network(1, n=10, m=20))[0]
+    stream = _seed_seq(_seed_seq(1, (0,)), (0,))
+    return preprocess_degree(perturb_costs(reduced, Fraction(1, 2), stream).network)[0]
+
+
+def _drift_cases():
+    for i in HEAVY_APPROX_CALLS:
+        yield f"approx-2-{i}", preprocess_degree(approx_batch_draw(2, i))[0], 80
+    for seed in (0, 3, 6, 10, 18, 21):
+        yield f"random-n6-{seed}", preprocess_degree(random_network(seed, n=6, m=10))[0], 80
+    for seed in (7304, 7316, 7321, 7337, 7339):
+        yield f"uncapacitated-{seed}", preprocess_degree(
+            uncapacitated_network(seed, share=0.4, discount=0))[0], 80
+    yield "slow-approx-draw", _first_draw_of_slow_approx(), 400
+
+
+def test_drift_orbits_equal_literal_tables_at_every_round():
+    # asked for every round in turn, the driver lands on each phase-0 round
+    # of every certified window and steps the rest: each table must be the
+    # literal one up to one constant per message, and beliefs, gap tests
+    # and piece totals must agree exactly
+    for name, net, rounds in _drift_cases():
+        tables = literal_tables(net, rounds)
+        driver = _Rounds(net)
+        threshold = net.n * net.c_max
+        for r in range(1, rounds + 1):
+            fast = driver.beliefs(r)
+            lit = tables[r]
+            assert same_modulo_constants(driver.state, lit), (name, r)
+            slow = {a.id: belief(net, lit, a.id) for a in net.arcs}
+            assert all(same_modulo_constants(fast[aid], b) for aid, b in slow.items()), (name, r)
+            assert gap_test(net, fast, threshold) == gap_test(net, slow, threshold), (name, r)
+            assert driver.piece_total(r) == sum(m.piece_count for m in lit.messages.values())
+        # each ends on a drift orbit: none reaches a uniform one
+        assert driver.orbit is not None and not driver.orbit.uniform, name
+        assert driver.executed < rounds, name
+
+
+def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
+    # K = 54 periods of 6 from round 21: exact through round 345, where a
+    # slope order changes; the driver steps past it and certifies again
+    net = _first_draw_of_slow_approx()
+    driver = _Rounds(net)
+    driver.beliefs(1024)
+    assert driver._windows[0] == (21, 6, 345)
+    assert len(driver._windows) >= 3 and driver._windows[-1][2] == POS_INF
+    assert driver.executed < 150
+    lit = literal_tables(net, 1024)[-1]
+    assert same_modulo_constants(driver.state, lit)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_unique_n20_instances_run_in_under_100_rounds(monkeypatch, capsys, tmp_path, seed):
+    # no uniform orbit: a drift orbit with no end is certified by round
+    # ~60, and both reports equal the literal run's apart from
+    # executed_rounds and wall_time_s
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_json_dict(random_network(seed, n=20, m=40))))
+
+    def reports():
+        out = {}
+        for argv in (["solve", "--iters", "auto"], ["check-unique"]):
+            assert cli.main([*argv, "--input", str(path)]) == cli.EXIT_OK
+            out[argv[0]] = json.loads(capsys.readouterr().out)
+        return out
+
+    fast = reports()
+    for report in fast.values():
+        assert report["executed_rounds"] < 100 < report["rounds_used"]
+
+    class Literal(_Rounds):
+        def __init__(self, reduced, on_round=None):
+            super().__init__(reduced, on_round or (lambda *_: None))
+
+    monkeypatch.setattr(bp_engine, "_Rounds", Literal)
+    lit = reports()
+    for mode, report in fast.items():
+        assert lit[mode]["executed_rounds"] == lit[mode]["rounds_used"]
+        for key in ("executed_rounds", "wall_time_s"):
+            del report[key], lit[mode][key]
+        assert report == lit[mode], mode
 
 
 @pytest.mark.parametrize("rounds", [0, -5])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from flowbp.errors import (
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
-from flowbp.bp_engine import belief, gap_test, init_messages, update_round
+from flowbp.bp_engine import belief, gap_test
 from flowbp.flowmodel import (
     FlowNetwork,
     check_feasible,
@@ -33,7 +34,7 @@ from flowbp.fpras import (
 )
 from flowbp.gen import random_network
 from flowbp.oracles import enumerate_integral_flows, exact_solve, is_unique_optimum
-from helpers import t1_network
+from helpers import HEAVY_APPROX_CALLS, approx_batch_draw, literal_tables, t1_network
 
 
 def test_perturb_t1_formula():
@@ -55,6 +56,27 @@ def test_perturb_deterministic():
     assert a.network == b.network and a.noise == b.noise
     c = perturb_costs(net, Fraction(1, 2), seed=124)
     assert c.noise != a.noise  # overwhelmingly likely, fixed seeds
+
+
+def test_perturb_integer_grid_equals_fraction_formula():
+    # perturb_costs computes floor(s / t) as one integer floor division;
+    # each perturbed cost must equal 4m * floor(s / t) + noise with t the
+    # Fraction c_max * eps / (4mn), over seeded costs, epsilons and shapes
+    rng = random.Random(8100)
+    for seed in range(120):
+        n = rng.randint(2, 9)
+        m = rng.randint(n - 1, 3 * n)
+        c_max = rng.choice([1, 2, 5, 17, 1000, 10**12 + 39])
+        eps = Fraction(rng.randint(1, 40), 41) if seed % 2 else Fraction(1, rng.randint(2, 10**6))
+        net = random_network(seed + 8100, n=n, m=m, c_max=c_max, cap_max=3)
+        if net.c_max == 0:
+            continue
+        pert = perturb_costs(net, eps, seed=seed)
+        t = Fraction(net.c_max) * eps / (4 * m * n)
+        assert pert.granularity == t and isinstance(pert.granularity, Fraction)
+        for a in net.arcs:
+            want = 4 * m * math.floor(Fraction(net.linear_slope(a)) / t) + pert.noise[a.id]
+            assert pert.network.linear_slope(pert.network.arc_by_id[a.id]) == want, (seed, a.id)
 
 
 def test_perturb_scaling_dominates():
@@ -309,15 +331,10 @@ def _literal_decide(pn):
     if reduced.m == 0:
         return True, dict(fixed), 0
     threshold = pn.n * pn.c_max
-    state = init_messages(reduced)
-    t = 0
     oracle_gap = None
     oracle_flows = None
-    probe = 8
-    while True:
-        while t < probe:
-            state = update_round(reduced, state)
-            t += 1
+    for t in (1 << k for k in range(3, PROBE_CAP.bit_length())):
+        state = literal_tables(reduced, t)[-1]
         beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
         cand_unique, est = gap_test(reduced, beliefs, threshold)
         if cand_unique:
@@ -333,26 +350,30 @@ def _literal_decide(pn):
                 oracle_flows, oracle_gap = _oracle_gap(pn)
             if oracle_gap == 0:
                 return False, None, t
-        if t >= PROBE_CAP:
-            if oracle_gap is None:
-                oracle_flows, oracle_gap = _oracle_gap(pn)
-            if oracle_gap > 0:
-                return True, dict(oracle_flows), t
-            return False, None, t
-        probe = min(probe * 2, PROBE_CAP)
+    if oracle_gap is None:
+        oracle_flows, oracle_gap = _oracle_gap(pn)
+    if oracle_gap > 0:
+        return True, dict(oracle_flows), PROBE_CAP
+    return False, None, PROBE_CAP
 
 
 def test_decide_perturbed_equals_literal_probe_loop():
     # draws that certify a unique optimum early or after the oracle says
     # "keep going", find a zero-cost residual cycle (a tie), or reach
-    # their probe rounds along an orbit
+    # their probe rounds along an orbit; and the benchmark's heavy draws,
+    # which must now skip rounds along a drift orbit
     outcomes = set()
-    for seed, draw in [(2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]:
+    small = []
+    for seed, draw in [(1, 0), (2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]:
         net = random_network(seed + 6100, n=3, m=4 + seed % 3, c_max=1, cap_max=2)
-        pn = perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network
+        small.append(perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network)
+    heavy = [approx_batch_draw(2, i) for i in HEAVY_APPROX_CALLS]
+    for k, pn in enumerate(small + heavy):
         unique, flows, executed = _decide_perturbed(pn)
         lit_unique, lit_flows, lit_rounds = _literal_decide(pn)
-        assert (unique, flows) == (lit_unique, lit_flows), (seed, draw)
+        assert (unique, flows) == (lit_unique, lit_flows), k
         assert executed <= lit_rounds
+        if k >= len(small):
+            assert lit_rounds >= 32 and executed < lit_rounds, k
         outcomes.add((unique, executed < lit_rounds))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
