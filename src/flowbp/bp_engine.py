@@ -11,14 +11,14 @@ piecewise-linear convex functions, so rounds are pure integer algebra.
 A node's outgoing messages come from one per-node kernel,
 :func:`~flowbp.pwl.node_messages`, run over a plan compiled once per
 network.  Its incoming messages are signed by the arc orientation without
-building reflected copies; per distinct tilt (almost always one) each is
-split once and all their pieces are sorted once; every arc's combination
-is stitched from that sorted list while skipping the arc's own pieces,
-only across the window its flow domain maps to, and merged with the arc
-cost.  A node of degree ``d`` with ``P`` incoming pieces costs ``d``
-splits and one sort per tilt, ``d`` stitches of at most ``O(P)`` work
-each, and one result object per message, instead of a chain of about
-``3 * d`` pairwise convolutions.  The tables are identical to the
+building reflected copies; each is split once, at one tilt, and all their
+pieces are sorted once; every arc's message takes one pass from that
+sorted list, skipping the arc's own pieces, laid out in the arc's flow
+coordinate only across its cost's domain, merged with the cost and
+carrying its values.  A node of degree ``d`` with ``P`` incoming pieces
+costs ``d`` splits, one sort, ``d`` passes of at most ``O(P)`` work each,
+and one result object per message, instead of a chain of about ``3 * d``
+pairwise convolutions.  The tables are identical to the
 pairwise ones, because ``PwlConvex`` is canonical.  Every round-0 message
 is the zero function, so round 1 is each message's arc cost: the round
 driver starts from that table and executes rounds from 2 on.
@@ -57,7 +57,7 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, Extended, PwlConvex, node_messages, pointwise_diff
+from .pwl import POS_INF, Extended, PwlConvex, add_shared, node_messages
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 
@@ -143,12 +143,11 @@ def belief(network: FlowNetwork, state: MessageState, arc_id: int) -> PwlConvex:
     """Per-arc cost-to-go at the current round.
 
     Both directed messages of the arc include the arc's own cost, so the
-    belief is their sum minus that cost, on the arc's flow domain.
+    belief is their sum minus that cost, on the arc's flow domain: one
+    trusted merge (:func:`~flowbp.pwl.add_shared`).
     """
     a = network.arc_by_id[arc_id]
-    m_to_tail = state.messages[(arc_id, a.tail)]
-    m_to_head = state.messages[(arc_id, a.head)]
-    return pointwise_diff(m_to_tail.add(m_to_head), a.cost)
+    return add_shared(state.messages[(arc_id, a.tail)], state.messages[(arc_id, a.head)], a.cost)
 
 
 def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:

@@ -90,7 +90,15 @@ def load_instance(path: str, fmt: str = "auto") -> FlowNetwork:
         else:
             fmt = "dimacs"
     if fmt == "json":
-        return network_from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except (RecursionError, ValueError) as exc:
+            # nesting deeper than the recursion limit, or an integer longer
+            # than Python's int-string digit limit
+            raise JsonInstanceError(f"unreadable JSON: {exc}") from None
+        return network_from_json_dict(data)
     return parse_dimacs(text)
 
 

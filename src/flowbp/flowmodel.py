@@ -82,6 +82,11 @@ def linear_cost(slope: int, capacity: Capacity) -> PwlConvex:
     return PwlConvex.linear(slope, 0, hi)
 
 
+def _check_capacity(aid: int, capacity: Capacity) -> None:
+    if capacity is not None and (not isinstance(capacity, int) or capacity < 0):
+        raise NegativeCapacityError(f"arc {aid} capacity {capacity!r} is not a non-negative integer")
+
+
 class FlowNetwork:
     """A validated min-cost-flow instance.
 
@@ -110,8 +115,7 @@ class FlowNetwork:
                 raise ValueError(f"arc {a.id} touches an undeclared node")
             if a.id in by_id:
                 raise ValueError(f"duplicate arc id {a.id}")
-            if a.capacity is not None and (not isinstance(a.capacity, int) or a.capacity < 0):
-                raise NegativeCapacityError(f"arc {a.id} capacity {a.capacity!r}")
+            _check_capacity(a.id, a.capacity)
             hi = POS_INF if a.capacity is None else a.capacity
             if a.cost.domain != (0, hi):
                 raise BadCostDomainError(
@@ -145,11 +149,14 @@ class FlowNetwork:
         """Build from ``(id, tail, head, capacity, cost)`` tuples.
 
         ``cost`` may be a plain integer slope (shorthand for a linear cost
-        on ``[0, capacity]``) or a ready :class:`PwlConvex`.
+        on ``[0, capacity]``) or a ready :class:`PwlConvex`.  The capacity
+        is checked before that cost is built, so a negative one raises
+        :class:`NegativeCapacityError` naming the arc.
         """
         arcs = []
         for aid, tail, head, cap, cost in arc_specs:
             if isinstance(cost, int):
+                _check_capacity(aid, cap)
                 cost = linear_cost(cost, cap)
             arcs.append(Arc(aid, tail, head, cap, cost))
         return cls(demands, arcs)

@@ -17,17 +17,22 @@ pieces of ``f`` and ``g`` stitched together in slope order.
 One kernel serves the message-passing engine.  :func:`node_messages`
 computes all of a node's outgoing messages: for every operand, the
 convolution of all the others (each reflected by its sign), re-parametrized
-by an affine map and added to a cost.  Per distinct tilt (almost always
-one) it splits each operand once, a reflected one where the unreflected
-function splits at the negated tilt, and sorts all tagged pieces once;
-each output is stitched from that list, skipping its own operand's
-pieces, only across the window that its cost's domain maps to, and
-merged with the cost into one result object.  A node of degree ``d``
-costs ``d`` splits and one sort per tilt, ``d`` window-bounded stitches
-and one result object per message.  :func:`leave_one_out` and
-:func:`inf_convolve2` run the same split, sort and stitch with an
-unbounded window, and :func:`add_composed` the same final merge.  All
-give exactly what the pairwise operations give.
+by an affine map and added to a cost.  It picks one tilt in the slope
+range all operands share and splits each operand there once, straight
+from its stored breakpoints, slopes and values (a reflected operand where
+the unreflected one splits at the negated tilt), then sorts all tagged
+pieces once.  Each output then takes one pass from those pieces to its
+result object: laid out in its arc's flow coordinate (reflected when
+``a = -1``, shifted by ``b``), skipping its own operand's pieces, clipped
+to the cost's domain, merged with the cost's slopes, and carrying the
+value at every breakpoint, so the result is built without settling.  A
+node of degree ``d`` costs ``d`` splits, one sort and ``d`` passes.
+:func:`leave_one_out` and :func:`inf_convolve2` run the same split, sort
+and pass with the zero function on R as the cost, and
+:func:`add_composed` the same pass over one split operand.  All give
+exactly what the pairwise operations give.  :func:`add_shared` sums two
+functions that share a summand, as an arc's belief sums its two messages,
+in one merge.
 """
 
 from __future__ import annotations
@@ -79,9 +84,10 @@ class PwlConvex:
     :meth:`point`, :meth:`linear`) and :meth:`from_json_dict` validate
     every input.  Results of the algebra (:func:`inf_convolve2`,
     :func:`leave_one_out`, :func:`node_messages`, :func:`add_composed`,
-    :meth:`add`, :meth:`compose_affine`, :meth:`tilt`) are canonical by
-    construction (the convolutions merge equal slopes while they stitch)
-    and take the internal :meth:`_trusted` path, which only settles.
+    :func:`add_shared`, :meth:`add`, :meth:`compose_affine`,
+    :meth:`tilt`) are canonical by construction (the convolutions merge
+    equal slopes while they are laid out) and take the internal
+    :meth:`_trusted` path, which checks nothing.
     """
 
     __slots__ = ("breakpoints", "slopes", "anchor", "_values")
@@ -138,17 +144,24 @@ class PwlConvex:
         self.anchor, self._values = self._settle(bks, sls, z0, v0)
 
     @classmethod
-    def _trusted(cls, breakpoints, slopes, anchor: tuple[int, int]) -> "PwlConvex":
+    def _trusted(cls, breakpoints, slopes, anchor: tuple[int, int], values=None) -> "PwlConvex":
         """Construct from canonical data: strictly increasing breakpoints
         and slopes, which every algebra result in this module has.
 
-        Only :meth:`_settle` runs; the input checks and the equal-slope
-        merge of ``__init__`` do not.
+        The input checks and the equal-slope merge of ``__init__`` do not
+        run.  The results of the message kernel and of :func:`add_shared`
+        carry their values along as they are laid out and pass them here
+        (``None`` at an infinite end) with the canonical anchor, so
+        nothing is computed; without ``values``, :meth:`_settle` derives
+        both from ``anchor``.
         """
         f = object.__new__(cls)
         f.breakpoints = bks = tuple(breakpoints)
         f.slopes = sls = tuple(slopes)
-        f.anchor, f._values = cls._settle(bks, sls, *anchor)
+        if values is None:
+            f.anchor, f._values = cls._settle(bks, sls, *anchor)
+        else:
+            f.anchor, f._values = anchor, tuple(values)
         return f
 
     @staticmethod
@@ -266,28 +279,6 @@ class PwlConvex:
         i = bisect_left(self.breakpoints, x)
         return self.slopes[min(i, len(self.slopes)) - 1]
 
-
-    def pieces(self) -> list[tuple[int, Extended]]:
-        """The multiset of (slope, length) pieces, in slope order."""
-        bks, sls = self.breakpoints, self.slopes
-        k = len(sls)
-        if not k:
-            return []
-        # Only the end pieces can be infinite; never subtract a bigint from
-        # an infinity (the float conversion overflows).
-        lo_inf = bks[0] == NEG_INF
-        hi_inf = bks[-1] == POS_INF
-        first, last = int(lo_inf), k - hi_inf
-        if first > last:  # one piece covering all of R
-            return [(sls[0], POS_INF)]
-        lengths = map(operator.sub, bks[first + 1 : last + 1], bks[first:last])
-        out = list(zip(sls[first:last], lengths))
-        if lo_inf:
-            out.insert(0, (sls[0], POS_INF))
-        if hi_inf:
-            out.append((sls[-1], POS_INF))
-        return out
-
     # -- algebra -------------------------------------------------------------
 
     def add(self, other: "PwlConvex") -> "PwlConvex":
@@ -306,11 +297,25 @@ class PwlConvex:
         For ``a = -1`` the breakpoints reflect and the slope sequence
         negates and reverses, so convexity is preserved exactly.
         """
-        bks, sls = _affine_image(self.breakpoints, self.slopes, a, b)
+        _check_affine(a, b)
         if a == 1 and b == 0:
             return self
+        bks, sls = self.breakpoints, self.slopes
+        lo_inf = bks[0] == NEG_INF
+        hi_inf = bks[-1] == POS_INF
+        finite = bks[lo_inf : len(bks) - hi_inf]  # never shift an infinity by a bigint
+        if a == 1:
+            out = [x - b for x in finite]
+        else:
+            out = [b - x for x in reversed(finite)]
+            sls = [-s for s in reversed(sls)]
+            lo_inf, hi_inf = hi_inf, lo_inf  # the reflection swaps the ends
+        if lo_inf:
+            out.insert(0, NEG_INF)
+        if hi_inf:
+            out.append(POS_INF)
         z0, v0 = self.anchor
-        return PwlConvex._trusted(bks, sls, (z0 - b if a == 1 else b - z0, v0))
+        return PwlConvex._trusted(out, sls, (z0 - b if a == 1 else b - z0, v0))
 
     def tilt(self, slope: int) -> "PwlConvex":
         """The exact sum ``f(z) + slope * z`` (every piece slope shifts).
@@ -341,26 +346,6 @@ class PwlConvex:
         lo = self.slopes[0] if self.breakpoints[0] == NEG_INF else NEG_INF
         hi = self.slopes[-1] if self.breakpoints[-1] == POS_INF else POS_INF
         return lo, hi
-
-    def _split_at_tilt(self, s: int):
-        """A finite minimizer ``p`` of ``f(x) - s*x`` with ``f(p)``, plus the
-        pieces strictly left of ``p`` (slope-descending) and right of ``p``
-        (slope-ascending).  ``s`` must lie in the slope range of ``f``."""
-        bks, sls = self.breakpoints, self.slopes
-        k = len(sls)
-        if k == 0:
-            return bks[0], self._values[0], [], []
-        pcs = self.pieces()
-        j = bisect_right(sls, s)
-        if j == k and bks[-1] == POS_INF:
-            # The tilted function is flat on the last (infinite) piece.
-            if k == 1 and bks[0] == NEG_INF:
-                p = self.anchor[0]
-                return p, self.anchor[1], [pcs[0]], [pcs[0]]
-            p = bks[k - 1]
-            return p, self.evaluate(p), pcs[: k - 1][::-1], [pcs[k - 1]]
-        p = bks[j]
-        return p, self.evaluate(p), pcs[:j][::-1], pcs[j:]
 
     # -- serialization & identity --------------------------------------------
 
@@ -407,94 +392,99 @@ class PwlConvex:
         return f"PwlConvex(breakpoints={self.breakpoints}, slopes={self.slopes}, anchor={self.anchor})"
 
 
-def _affine_image(bks, sls, a: int, b: int):
-    """Breakpoints and slopes of ``z -> f(a*z + b)`` from those of ``f``,
-    for ``a`` in ``{+1, -1}``.
+#: The finish of an output without one (:func:`leave_one_out`,
+#: :func:`inf_convolve2`): the zero function on R as its cost, in the
+#: convolution's own coordinate.
+_UNFINISHED = (PwlConvex.constant(0), 1, 0)
+_slope = operator.itemgetter(0)
 
-    For ``a = -1`` the breakpoints reflect and the slope sequence negates
-    and reverses; the infinite ends never meet the bigint shift.
-    """
+
+def _check_affine(a: int, b: int) -> None:
     if a not in (1, -1):
         raise ValueError(f"affine scale must be +1 or -1, got {a!r}")
     if not _is_int(b):
         raise ValueError(f"affine shift must be an integer, got {b!r}")
-    if a == 1 and b == 0:
-        return bks, sls
-    lo_inf = bks[0] == NEG_INF
-    hi_inf = bks[-1] == POS_INF
-    finite = bks[lo_inf : len(bks) - hi_inf]  # only the ends may be infinite
-    if a == 1:
-        out = [x - b for x in finite]
-    else:
-        out = [b - x for x in reversed(finite)]
-        sls = [-s for s in reversed(sls)]
-        lo_inf, hi_inf = hi_inf, lo_inf  # the reflection swaps the ends
-    if lo_inf:
-        out.insert(0, NEG_INF)
-    if hi_inf:
-        out.append(POS_INF)
-    return out, sls
-
-
-def _merge(op, fb, fs, gb, gs, lo: Extended, hi: Extended):
-    """Breakpoints and slopes of ``op(f, g)`` on ``[lo, hi]``, which lies
-    in both domains, by one two-pointer pass over the breakpoints of ``f``
-    (``fb``, ``fs``) and ``g`` (``gb``, ``gs``).
-
-    ``op`` combines the slopes piece by piece.  Also returns the point to
-    anchor at: ``lo`` or the first finite breakpoint, 0 on all of R.
-    """
-    if lo == hi:
-        return (lo,), (), lo
-    i = bisect_right(fb, lo)  # fb[i - 1] <= lo < fb[i]
-    j = bisect_right(gb, lo)
-    bks: list[Extended] = [lo]
-    sls: list[int] = []
-    while True:
-        sls.append(op(fs[i - 1], gs[j - 1]))
-        x = fb[i] if fb[i] < gb[j] else gb[j]
-        if x >= hi:
-            break
-        bks.append(x)
-        if fb[i] == x:
-            i += 1
-        if gb[j] == x:
-            j += 1
-    bks.append(hi)
-    z = lo if lo != NEG_INF else (bks[1] if bks[1] != POS_INF else 0)
-    return bks, sls, z
-
-
-def _add_image(f: PwlConvex, hb, hs, a: int, b: int):
-    """Breakpoints and slopes of ``z -> f(z) + h(a*z + b)``, where ``h``
-    has breakpoints ``hb`` and slopes ``hs``, on the intersection of the
-    two domains, plus the point to anchor at (see :func:`_merge`).
-
-    Raises :class:`EmptyDomainError` when the domains are disjoint.
-    """
-    gb, gs = _affine_image(hb, hs, a, b)
-    fb = f.breakpoints
-    lo = max(fb[0], gb[0])
-    hi = min(fb[-1], gb[-1])
-    if lo > hi:
-        raise EmptyDomainError("domains do not intersect")
-    return _merge(operator.add, fb, f.slopes, gb, gs, lo, hi)
 
 
 def add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
     """The sum ``z -> f(z) + h(a*z + b)`` for ``a`` in ``{+1, -1}``.
 
     Equal to ``f.add(h.compose_affine(a, b))``, without building the
-    composed function: the affine image of ``h``'s breakpoints and slopes
-    is merged with ``f``'s in one pass over the intersection of the two
-    domains.  A sum of convex functions is convex, so the result takes the
-    trusted path.  Raises :class:`EmptyDomainError` when the domains are
-    disjoint (the sum would be ``+inf`` everywhere).
+    composed function: ``h`` is split as a one-operand convolution and
+    laid out across ``f``'s domain by the same pass that finishes every
+    message of :func:`node_messages`.  A sum of convex functions is
+    convex, so the result takes the trusted path.  Raises
+    :class:`EmptyDomainError` when the domains are disjoint (the sum would
+    be ``+inf`` everywhere).
     """
-    bks, sls, z = _add_image(f, h.breakpoints, h.slopes, a, b)
-    return PwlConvex._trusted(
-        bks, sls, (z, f.evaluate(z) + h.evaluate(z + b if a == 1 else b - z))
-    )
+    _check_affine(a, b)
+    return _add_composed(f, h, a, b)
+
+
+def _add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
+    """:func:`add_composed` for a map already checked."""
+    left: list = []
+    right: list = []
+    # x -> h(a*x) split at a tilt in its slope range; f(z) + h(a*z + b) is
+    # f(z) plus that function at z + a*b
+    p, v = _split(h, a, a * _clamp0(*h._slope_bounds()), 0, left, right)
+    return _finish(p - a * b, v, left, right, -1, f)
+
+
+def add_shared(f: PwlConvex, g: PwlConvex, h: PwlConvex) -> PwlConvex:
+    """``f + g - h`` on the intersection of the domains of ``f`` and ``g``,
+    where ``f`` and ``g`` share the summand ``h``: ``f - h`` and ``g - h``
+    are convex, as for the two messages of an arc, which share its cost.
+
+    The result is ``h + (f - h) + (g - h)``, so at every breakpoint of
+    ``f`` or ``g`` its slope rises at least as much as theirs: the
+    breakpoints and slopes of one merge are canonical as they stand, and
+    the values follow from the sum's value at one point.  Raises
+    :class:`EmptyDomainError` when the domains of ``f`` and ``g`` are
+    disjoint or ``h`` is not finite on their intersection, and
+    :class:`NonConvexError` when a slope fails to rise (``h`` is not a
+    summand of both).
+    """
+    fb, fs, gb, gs, hb, hs = f.breakpoints, f.slopes, g.breakpoints, g.slopes, h.breakpoints, h.slopes
+    lo = fb[0] if fb[0] > gb[0] else gb[0]
+    hi = fb[-1] if fb[-1] < gb[-1] else gb[-1]
+    if lo > hi:
+        raise EmptyDomainError("domains do not intersect")
+    if lo < hb[0] or hi > hb[-1]:
+        raise EmptyDomainError("subtrahend is not finite on the sum's domain")
+    bks: list[Extended] = [lo]
+    sls: list[int] = []
+    if lo < hi:
+        i, j, k = bisect_right(fb, lo), bisect_right(gb, lo), bisect_right(hb, lo)
+        while True:
+            s = fs[i - 1] + gs[j - 1] - hs[k - 1]
+            if sls and s <= sls[-1]:
+                raise NonConvexError("the summand is not shared: slopes do not rise")
+            sls.append(s)
+            x = min(fb[i], gb[j], hb[k])
+            if x >= hi:
+                break
+            bks.append(x)
+            if fb[i] == x:
+                i += 1
+            if gb[j] == x:
+                j += 1
+            if hb[k] == x:
+                k += 1
+        bks.append(hi)
+    # values from the first finite breakpoint on (see PwlConvex._settle)
+    base = 1 if lo == NEG_INF else 0
+    n = len(bks)
+    if base == n - 1 and hi == POS_INF:  # one line on all of R
+        return PwlConvex._trusted(bks, sls, (0, f.evaluate(0) + g.evaluate(0) - h.evaluate(0)), (None, None))
+    x = bks[base]
+    v = f.evaluate(x) + g.evaluate(x) - h.evaluate(x)
+    vals: list = [None] * n
+    vals[base] = v
+    for q in range(base + 1, n - (hi == POS_INF)):
+        v += sls[q - 1] * (bks[q] - bks[q - 1])
+        vals[q] = v
+    return PwlConvex._trusted(bks, sls, (x, vals[base]), vals)
 
 
 def _clamp0(s_lo: Extended, s_hi: Extended) -> int:
@@ -507,127 +497,228 @@ def _clamp0(s_lo: Extended, s_hi: Extended) -> int:
     return 0
 
 
-def _stitch(t0: int, v0: int, left, right, skip: int, lo: Extended = NEG_INF, hi: Extended = POS_INF):
-    """The convolution whose tilted minimizer is ``t0`` with value ``v0``,
-    laid out across the window ``[lo, hi]``.
+def _split(f: PwlConvex, sign: int, s: int, j: int, left: list, right: list):
+    """Split ``x -> f(sign * x)`` at the tilt ``s``, which lies in its slope
+    range, straight from ``f``'s stored breakpoints, slopes and values.
 
-    ``left`` holds the ``(slope, length, operand)`` pieces left of the
-    operands' split points in slope-descending order, ``right`` those to
-    the right in ascending order.  They are laid out outward from ``t0``,
-    leaving out the pieces of operand ``skip``, until the cursor passes
-    the window end on that side (or reaches an infinite domain end); a
-    side that lies wholly outside the window is not laid out.  Pieces of
-    equal slope merge (from two operands, or on both sides of ``t0``) so
-    the result is canonical inside the window.
-
-    Returns the breakpoints and slopes, which cover the window's part of
-    the domain, and the point of the window nearest ``t0`` with its value
-    (meaningful only when the domain reaches the window).
+    Returns a finite minimizer ``p`` of ``f(sign * x) - s * x`` and the
+    value there, and appends the pieces left of ``p`` (slope-descending)
+    to ``left`` and those right of it (ascending) to ``right`` as
+    ``(slope, length, j)``; an end piece that reaches an infinite domain
+    end has length ``+inf``.
     """
-    bks: list[Extended] = [t0]
-    sls: list[int] = []
-    v = v0
-    if t0 > lo:
-        cur: Extended = t0
-        for s, length, j in left:
-            if j == skip:
+    bks, sls = f.breakpoints, f.slopes
+    k = len(sls)
+    first = bks[0] == NEG_INF  # pieces first .. last - 1 have finite length
+    last = k - (bks[-1] == POS_INF)
+    i = bisect_right(sls, s if sign == 1 else -s)  # pieces below i go left
+    if i == k and last < k:  # flat on the last, infinite piece
+        if k == 1 and first:  # one line on all of R: split at the anchor
+            piece = (sign * sls[0], POS_INF, j)
+            left.append(piece)
+            right.append(piece)
+            p, v = f.anchor
+            return sign * p, v
+        i = k - 1
+    # f's pieces below i, slope-descending, and from i on, ascending; a
+    # reflection negates the slopes, so the two sides swap
+    down, up = (left, right) if sign == 1 else (right, left)
+    for x in range(i - 1, first - 1, -1):
+        down.append((sign * sls[x], bks[x + 1] - bks[x], j))
+    if first and i:  # never subtract a bigint from an infinity
+        down.append((sign * sls[0], POS_INF, j))
+    for x in range(i, last):
+        up.append((sign * sls[x], bks[x + 1] - bks[x], j))
+    if last < k:
+        up.append((sign * sls[-1], POS_INF, j))
+    return sign * bks[i], f._values[i]
+
+
+def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex:
+    """``phi + L`` where ``L``, in ``phi``'s own coordinate, is the
+    convolution whose tilted minimizer is ``z`` with value ``v``: its
+    ``(slope, length, operand)`` pieces left of ``z`` are ``left`` in
+    slope-descending order and those right of it ``right`` in ascending
+    order, leaving out the pieces of operand ``skip``.
+
+    One pass from the pieces to the result.  When ``z`` lies outside
+    ``phi``'s domain, the pieces toward the domain are walked to its end,
+    carrying the value.  From that point the pieces are laid out leftward
+    and then rightward, each cut at ``phi``'s breakpoints and given
+    ``phi``'s slope there, until the cursor reaches ``phi``'s domain end
+    or the pieces run out.  Equal slopes merge (from two operands, or on
+    both sides of ``z``; ``phi``'s breakpoints always raise the slope), so
+    the result is canonical, and the value at every breakpoint is carried
+    along.  Raises :class:`EmptyDomainError` when ``L`` is ``+inf`` on all
+    of ``phi``'s domain.
+    """
+    pb, ps = phi.breakpoints, phi.slopes
+    lo, hi = pb[0], pb[-1]
+    if z < lo:  # walk right to the domain's lower end
+        for n, (s, length, o) in enumerate(right):
+            if o == skip:
                 continue
-            nxt = NEG_INF if length == POS_INF else cur - length
-            if cur > hi:  # the window lies further left: carry the value
-                v -= s * (cur - (nxt if nxt > hi else hi))
-            cur = nxt
-            if sls and sls[-1] == s:
-                bks[-1] = cur
-            else:
-                bks.append(cur)
-                sls.append(s)
-            if cur <= lo:
+            end = POS_INF if length == POS_INF else z + length
+            if end >= lo:
+                v += s * (lo - z)
+                rest = right[n + 1 :]
+                right = rest if end == lo else [(s, POS_INF if end == POS_INF else end - lo, o), *rest]
+                break
+            v += s * length
+            z = end
+        else:
+            raise EmptyDomainError("domains do not intersect")
+        z = lo
+    elif z > hi:  # walk left to the domain's upper end
+        for n, (s, length, o) in enumerate(left):
+            if o == skip:
+                continue
+            end = NEG_INF if length == POS_INF else z - length
+            if end <= hi:
+                v -= s * (z - hi)
+                rest = left[n + 1 :]
+                left = rest if end == hi else [(s, POS_INF if end == NEG_INF else hi - end, o), *rest]
+                break
+            v -= s * length
+            z = end
+        else:
+            raise EmptyDomainError("domains do not intersect")
+        z = hi
+    j = bisect_right(pb, z)  # pb[j - 1] <= z < pb[j], or z == hi
+    x = pb[j - 1]
+    if x == z:
+        v += phi._values[j - 1]
+    elif x != NEG_INF:
+        v += phi._values[j - 1] + ps[j - 1] * (z - x)
+    elif pb[j] != POS_INF:
+        v += phi._values[j] - ps[0] * (pb[j] - z)
+    else:  # phi is one line on all of R
+        v += phi.anchor[1] + ps[0] * (z - phi.anchor[0])
+    bks: list[Extended] = [z]
+    sls: list[int] = []
+    vals: list = [v]
+    if z > lo:
+        x, val = z, v
+        k = j - 2 if pb[j - 1] == z else j - 1  # pb[k] < z <= pb[k + 1]
+        for s, length, o in left:
+            if o == skip:
+                continue
+            end = NEG_INF if length == POS_INF else x - length
+            while True:
+                px = pb[k]
+                e = end if end > px else px
+                sl = s + ps[k]
+                val = None if e == NEG_INF else val - sl * (x - e)
+                if sls and sls[-1] == sl:
+                    bks[-1] = e
+                    vals[-1] = val
+                else:
+                    bks.append(e)
+                    sls.append(sl)
+                    vals.append(val)
+                x = e
+                if e == px:
+                    if e == lo:
+                        break
+                    k -= 1
+                if e == end:
+                    break
+            if x == lo:
                 break
         bks.reverse()
         sls.reverse()
-    if t0 < hi:
-        cur = t0
-        for s, length, j in right:
-            if j == skip:
+        vals.reverse()
+    if z < hi:
+        x, val = z, v
+        k = j  # pb[k - 1] <= z < pb[k]
+        for s, length, o in right:
+            if o == skip:
                 continue
-            nxt = POS_INF if length == POS_INF else cur + length
-            if cur < lo:  # the window lies further right: carry the value
-                v += s * ((nxt if nxt < lo else lo) - cur)
-            cur = nxt
-            if sls and sls[-1] == s:
-                bks[-1] = cur
-            else:
-                bks.append(cur)
-                sls.append(s)
-            if cur >= hi:
+            end = POS_INF if length == POS_INF else x + length
+            while True:
+                px = pb[k]
+                e = end if end < px else px
+                sl = s + ps[k - 1]
+                val = None if e == POS_INF else val + sl * (e - x)
+                if sls and sls[-1] == sl:
+                    bks[-1] = e
+                    vals[-1] = val
+                else:
+                    bks.append(e)
+                    sls.append(sl)
+                    vals.append(val)
+                x = e
+                if e == px:
+                    if e == hi:
+                        break
+                    k += 1
+                if e == end:
+                    break
+            if x == hi:
                 break
-    return bks, sls, (lo if t0 < lo else hi if t0 > hi else t0, v)
+    if bks[0] != NEG_INF:
+        anchor = (bks[0], vals[0])
+    elif len(bks) > 2 or bks[1] != POS_INF:
+        anchor = (bks[1], vals[1])
+    else:  # one line on all of R
+        anchor = (0, v - sls[0] * z)
+    return PwlConvex._trusted(bks, sls, anchor, vals)
 
 
-def _signed_bounds(f: PwlConvex, sign: int) -> tuple[Extended, Extended]:
-    """The slope range of ``x -> f(sign * x)``."""
-    lo, hi = f._slope_bounds()
-    return (lo, hi) if sign == 1 else (-hi, -lo)
-
-
-def _window(f: PwlConvex, a: int, b: int) -> tuple[Extended, Extended]:
-    """The image of ``f``'s domain under ``z -> a*z + b``."""
-    lo, hi = f.domain
-    if a == -1:
-        lo, hi = -hi, -lo
-    return (lo if lo == NEG_INF else lo + b), (hi if hi == POS_INF else hi + b)
-
-
-def _convolve_at(fs, signs, bounds, s: int, skips, finishes) -> list[PwlConvex]:
-    """For each ``i`` in ``skips``, the convolution of every
+def _convolve(fs, signs, skips, finishes) -> list[PwlConvex]:
+    """For each ``i`` in ``skips``, the convolution ``L_i`` of every
     ``x -> fs[j](signs[j] * x)`` with ``j != i`` (``i = -1`` leaves none
-    out), stitched at the tilt ``s``; with ``finishes``, output ``i`` is
-    ``phi(z) + conv(a*z + b)`` for ``(phi, a, b) = finishes[i]``.
+    out); with ``finishes``, output ``i`` is ``phi(z) + L_i(a*z + b)`` for
+    ``(phi, a, b) = finishes[i]``.
 
-    ``s`` must lie in the slope range of every operand that is not left
-    out.  Each operand whose range (``bounds``) holds ``s`` is split at it
-    once (a reflected one where ``fs[j]`` splits at ``-s``, its sides
-    swapped and negated), and the tagged pieces are sorted once for all
-    outputs; output ``i`` is anchored at the sum of the split points and
-    values minus its own operand's.  A finished output is stitched only
-    across its window, the image of ``phi``'s domain under ``a*z + b``,
-    and merged with ``phi`` into one result.
+    Every output is stitched at one tilt: the point nearest 0 of the slope
+    range all operands share, which lies in every output's own range (the
+    results are canonical, so the tilt does not change them).  Each
+    operand is split at it once and the tagged pieces are sorted once;
+    output ``i`` is split at the sum of the split points and values minus
+    its own operand's, and :func:`_finish` lays it out in its own
+    coordinate ``z``.  There the split point is ``t - b`` (``a = 1``) or
+    ``b - t``, and the pieces are reflected: both sides swapped and
+    negated, once for all outputs.
+
+    Raises :class:`UnboundedError` when the operands' slope ranges are
+    disjoint.  With three or more operands some ``L_i`` is then ``-inf``
+    everywhere, as it is for ``skips = (-1,)``.
     """
+    s_lo, s_hi = NEG_INF, POS_INF
+    for f, sign in zip(fs, signs):
+        lo, hi = f._slope_bounds()
+        if sign == -1:
+            lo, hi = -hi, -lo
+        if lo > s_lo:
+            s_lo = lo
+        if hi < s_hi:
+            s_hi = hi
+    if s_lo > s_hi:
+        raise UnboundedError("infimal convolution is -inf everywhere")
+    s = _clamp0(s_lo, s_hi)
     t0 = v0 = 0
     left: list = []
     right: list = []
     splits: list = []
-    for j, (f, sign, (lo, hi)) in enumerate(zip(fs, signs, bounds)):
-        if not lo <= s <= hi:
-            splits.append(None)
-            continue
-        if sign == 1:
-            p, v, f_left, f_right = f._split_at_tilt(s)
-            left += [(sl, length, j) for sl, length in f_left]
-            right += [(sl, length, j) for sl, length in f_right]
-        else:
-            p, v, f_left, f_right = f._split_at_tilt(-s)
-            p = -p
-            left += [(-sl, length, j) for sl, length in f_right]
-            right += [(-sl, length, j) for sl, length in f_left]
+    for j, (f, sign) in enumerate(zip(fs, signs)):
+        p, v = _split(f, sign, s, j, left, right)
         t0 += p
         v0 += v
         splits.append((p, v))
-    left.sort(key=operator.itemgetter(0), reverse=True)
-    right.sort(key=operator.itemgetter(0))
+    left.sort(key=_slope, reverse=True)
+    right.sort(key=_slope)
+    reflected = None
     out = []
     for i in skips:
-        own = splits[i] if i >= 0 else None
-        t, v = (t0, v0) if own is None else (t0 - own[0], v0 - own[1])
-        if finishes is None:
-            bks, sls, anchor = _stitch(t, v, left, right, i)
-            out.append(PwlConvex._trusted(bks, sls, anchor))
+        t, v = (t0, v0) if i < 0 else (t0 - splits[i][0], v0 - splits[i][1])
+        phi, a, b = _UNFINISHED if finishes is None else finishes[i]
+        if a == 1:
+            out.append(_finish(t - b, v, left, right, i, phi))
             continue
-        phi, a, b = finishes[i]
-        bks, sls, (t, v) = _stitch(t, v, left, right, i, *_window(phi, a, b))
-        bks, sls, _ = _add_image(phi, bks, sls, a, b)
-        z = t - b if a == 1 else b - t
-        out.append(PwlConvex._trusted(bks, sls, (z, phi.evaluate(z) + v)))
+        if reflected is None:
+            reflected = [(-sl, ln, o) for sl, ln, o in right], [(-sl, ln, o) for sl, ln, o in left]
+        out.append(_finish(b - t, v, *reflected, i, phi))
     return out
 
 
@@ -643,63 +734,31 @@ def inf_convolve2(f: PwlConvex, g: PwlConvex) -> PwlConvex:
     ``t``, i.e. when the operands decrease without bound in incompatible
     directions (their slope ranges are disjoint).
     """
-    bounds = (f._slope_bounds(), g._slope_bounds())
-    s_lo = max(bounds[0][0], bounds[1][0])
-    s_hi = min(bounds[0][1], bounds[1][1])
-    if s_lo > s_hi:
-        raise UnboundedError("infimal convolution is -inf everywhere")
-    return _convolve_at((f, g), (1, 1), bounds, _clamp0(s_lo, s_hi), (-1,), None)[0]
-
-
-def _kernel(fs, signs, finishes) -> list[PwlConvex]:
-    """The outputs of :func:`node_messages` (or, without ``finishes``, of
-    :func:`leave_one_out` on the reflected operands) for three or more
-    operands, grouped by the tilt each is stitched at."""
-    d = len(fs)
-    bounds = [_signed_bounds(f, sign) for f, sign in zip(fs, signs)]
-    lows = [lo for lo, _ in bounds]
-    highs = [hi for _, hi in bounds]
-    top = max(range(d), key=lows.__getitem__)
-    bottom = min(range(d), key=highs.__getitem__)
-    next_low = max(lo for j, lo in enumerate(lows) if j != top)
-    next_high = min(hi for j, hi in enumerate(highs) if j != bottom)
-    groups: dict[int, list[int]] = {}
-    for i in range(d):
-        s_lo = next_low if i == top else lows[top]
-        s_hi = next_high if i == bottom else highs[bottom]
-        if s_lo > s_hi:
-            raise UnboundedError("infimal convolution is -inf everywhere")
-        groups.setdefault(_clamp0(s_lo, s_hi), []).append(i)
-    out: list = [None] * d
-    for s, members in groups.items():
-        for i, g in zip(members, _convolve_at(fs, signs, bounds, s, members, finishes)):
-            out[i] = g
-    return out
+    return _convolve((f, g), (1, 1), (-1,), None)[0]
 
 
 def leave_one_out(fs: Sequence[PwlConvex]) -> list[PwlConvex]:
     """``out[i]`` is the infimal convolution of every ``fs[j]`` with ``j != i``.
 
     Equal to ``reduce(inf_convolve2, fs[:i] + fs[i + 1:])``, in one pass.
-    Output ``i``'s slope range is the intersection of the others' ranges,
-    read off the two largest lower and the two smallest upper slope
-    bounds, and it is stitched at the point of that range nearest 0, as in
-    :func:`inf_convolve2`.  The outputs need at most four distinct tilts,
-    and almost always one: every operand is split once per tilt, the
-    tagged pieces are sorted once per tilt, and output ``i`` skips its own
-    operand's pieces.  ``d`` operands with ``P`` pieces in total cost
-    ``d`` splits, one sort and ``d`` stitches of ``O(P)`` each.
+    Every output is stitched at the point nearest 0 of the slope range
+    all operands share, which lies in each output's own range: every
+    operand is split once, the tagged pieces are sorted once, and output
+    ``i`` skips its own operand's pieces.  ``d`` operands with ``P``
+    pieces in total cost ``d`` splits, one sort and ``d`` passes of
+    ``O(P)`` each.
 
     Raises :class:`ValueError` for fewer than two operands, and
     :class:`UnboundedError` when some output is ``-inf`` everywhere (the
-    slope ranges of its operands are disjoint).
+    slope ranges of its operands are disjoint); with three or more
+    operands that is exactly when the ranges of all of them are.
     """
     d = len(fs)
     if d < 2:
         raise ValueError("leave-one-out needs at least two functions")
     if d == 2:
         return [fs[1], fs[0]]
-    return _kernel(fs, (1,) * d, None)
+    return _convolve(fs, (1,) * d, range(d), None)
 
 
 def node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes) -> list[PwlConvex]:
@@ -712,28 +771,35 @@ def node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes)
     a, b)``, with ``reflected[j] = incoming[j].compose_affine(signs[j], 0)``.
 
     No reflected copy is built: an operand with sign ``-1`` is split
-    where it splits at the negated tilt.  Each operand is split once per
-    tilt and the tagged pieces are sorted once per tilt, as in
-    :func:`leave_one_out`; output ``i`` is stitched only across its
-    window, the image of ``phi``'s domain under ``a*z + b``, and merged
-    with ``phi`` into the one result object it makes.  Two operands need
-    no convolution: the sign folds into :func:`add_composed`'s map.
+    where it splits at the negated tilt.  Each operand is split once, from
+    its stored data, and the tagged pieces are sorted once, as in
+    :func:`leave_one_out`.  Output ``i`` then takes one pass from those
+    pieces to the one result object it makes: laid out in ``z``, the
+    arc's flow coordinate, only across ``phi``'s domain, merged with
+    ``phi``'s slopes, with the value at every breakpoint carried along and
+    handed to :meth:`PwlConvex._trusted`.  Two operands need no
+    convolution: the sign folds into :func:`add_composed`'s map, which
+    runs the same pass.
 
-    Raises :class:`ValueError` for fewer than two operands,
-    :class:`UnboundedError` when some ``L_i`` is ``-inf`` everywhere (all
-    outputs are checked before any is built), and
-    :class:`EmptyDomainError` when some ``L_i`` is ``+inf`` on all of
-    ``phi``'s window.
+    Raises :class:`ValueError` for fewer than two operands or a finish
+    whose map is not ``a*z + b`` with ``a`` in ``{+1, -1}`` and an integer
+    ``b``, :class:`UnboundedError` when some ``L_i`` is ``-inf``
+    everywhere (checked before any output is built), and
+    :class:`EmptyDomainError` when some ``L_i(a*z + b)`` is ``+inf`` on
+    all of ``phi``'s domain.
     """
     d = len(incoming)
     if d < 2:
         raise ValueError("leave-one-out needs at least two functions")
+    for _, a, b in finishes:
+        if a not in (1, -1) or type(b) is not int:
+            _check_affine(a, b)
     if d == 2:
         return [
-            add_composed(phi, incoming[1 - i], signs[1 - i] * a, signs[1 - i] * b)
+            _add_composed(phi, incoming[1 - i], signs[1 - i] * a, signs[1 - i] * b)
             for i, (phi, a, b) in enumerate(finishes)
         ]
-    return _kernel(incoming, signs, finishes)
+    return _convolve(incoming, signs, range(d), finishes)
 
 
 def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlConvex:
@@ -754,17 +820,3 @@ def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlCo
             nxt.append(level[-1])
         level = nxt
     return level[0]
-
-
-def pointwise_diff(f: PwlConvex, g: PwlConvex) -> PwlConvex:
-    """Exact pointwise difference ``f - g`` on the domain of ``f``.
-
-    Only valid when the difference is itself convex (as when ``g`` was
-    previously added to a convex function to form ``f``); otherwise
-    :class:`NonConvexError` is raised by construction.  ``f``'s domain must
-    be contained in ``g``'s.
-    """
-    if g.breakpoints[0] > f.breakpoints[0] or g.breakpoints[-1] < f.breakpoints[-1]:
-        raise EmptyDomainError("subtrahend is not finite on the minuend's domain")
-    bks, sls, z = _merge(operator.sub, f.breakpoints, f.slopes, g.breakpoints, g.slopes, *f.domain)
-    return PwlConvex(bks, sls, (z, f.evaluate(z) - g.evaluate(z)))

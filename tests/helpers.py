@@ -17,6 +17,7 @@ from fractions import Fraction
 import networkx as nx
 
 from flowbp.bp_engine import MessageState, init_messages, update_round
+from flowbp.errors import EmptyDomainError
 from flowbp.flowmodel import FlowAssignment, FlowNetwork, make_assignment, preprocess_degree
 from flowbp.fpras import _seed_seq, perturb_costs
 from flowbp.gen import random_network
@@ -231,10 +232,33 @@ def random_pwl(rng: random.Random, allow_unbounded: bool = False) -> PwlConvex:
     return PwlConvex(bks, sls, (anchor_x, rng.randint(-5, 5)))
 
 
+def pointwise_diff(f: PwlConvex, g: PwlConvex) -> PwlConvex:
+    """Exact ``f - g`` on the domain of ``f``, built by the validating
+    constructor from plain evaluation: the reference for beliefs.
+
+    Raises :class:`EmptyDomainError` when ``g`` is not finite on all of
+    ``f``'s domain, and the constructor raises
+    :class:`~flowbp.errors.NonConvexError` when the difference is not
+    convex.
+    """
+    lo, hi = f.domain
+    if g.breakpoints[0] > lo or g.breakpoints[-1] < hi:
+        raise EmptyDomainError("subtrahend is not finite on the minuend's domain")
+    bks = [lo, *sorted({x for x in f.breakpoints + g.breakpoints if lo < x < hi}), hi]
+    z = next((x for x in bks if x not in (NEG_INF, POS_INF)), 0)
+    value = f.evaluate(z) - g.evaluate(z)
+    if lo == hi:
+        return PwlConvex.point(lo, value)
+    slopes = [f.right_derivative(x) - g.right_derivative(x) for x in bks[:-1]]
+    return PwlConvex(bks, slopes, (z, value))
+
+
 def leave_one_out_tilts(fs):
-    """The tilt each output of ``pwl.leave_one_out(fs)`` is stitched at: the
-    point nearest 0 of the intersection of the other operands' slope
-    ranges (None where it is empty)."""
+    """Per output of ``pwl.leave_one_out(fs)``, the point nearest 0 of its
+    own slope range, the intersection of the other operands' ranges (None
+    where it is empty).  The kernel stitches every output at the one tilt
+    all operands share; where these points differ, some output's own range
+    is wider than that shared one."""
     tilts = []
     for i in range(len(fs)):
         bounds = [f._slope_bounds() for j, f in enumerate(fs) if j != i]

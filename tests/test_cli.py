@@ -389,6 +389,18 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so no result guarantee may rest on one
+    package = Path(cli.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 _CLI = "import sys; from flowbp import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
@@ -508,3 +520,49 @@ def test_approx_seed_errors(capsys, t1_file, monkeypatch, seed_args, env, detail
     )
     assert code == cli.EXIT_OTHER
     assert report == {"error": {"kind": "other", "detail": detail}}
+
+
+@pytest.mark.parametrize("mode", [["solve"], ["check-unique"], ["approx", "--epsilon", "1/2"]])
+def test_deeply_nested_json_is_parse_error(tmp_path, mode):
+    # json.loads raises RecursionError, not a JSONDecodeError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    proc = _python("-c", _CLI, *mode, "--input", str(path), timeout=60)
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "parse"
+    assert error["detail"].startswith("unreadable JSON: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("suffix", ["json", "dimacs"])
+def test_integer_beyond_the_digit_limit_is_parse_error(capsys, tmp_path, suffix):
+    # Python refuses to convert an integer string of more than 4,300 digits
+    big = "1" * 5000
+    path = tmp_path / f"big.{suffix}"
+    if suffix == "json":
+        d = network_to_json_dict(t1_network())
+        path.write_text(json.dumps(d).replace('"capacity": 2', '"capacity": ' + big, 1))
+    else:
+        path.write_text(T1_DIMACS.replace("a 1 2 0 2 1", "a 1 2 0 " + big + " 1"))
+    code, report = run_cli(capsys, "solve", "--input", str(path))
+    assert code == cli.EXIT_PARSE
+    assert report["error"]["kind"] == "parse"
+    assert "Exceeds the limit (4300 digits)" in report["error"]["detail"]
+
+
+@pytest.mark.parametrize("suffix", ["json", "dimacs"])
+def test_negative_capacity_error_names_the_arc(capsys, tmp_path, suffix):
+    # checked before the arc's linear cost is built on [0, capacity]
+    path = tmp_path / f"neg.{suffix}"
+    if suffix == "json":
+        d = network_to_json_dict(t1_network())
+        d["arcs"][1]["capacity"] = -3
+        path.write_text(json.dumps(d))
+    else:
+        path.write_text(T1_DIMACS.replace("a 2 3 0 2 1", "a 2 3 0 -3 1"))
+    for mode in (["solve"], ["check-unique"], ["approx", "--epsilon", "1/2"]):
+        code, report = run_cli(capsys, *mode, "--input", str(path))
+        assert code == cli.EXIT_OTHER
+        assert report == {"error": {
+            "kind": "other", "detail": "arc 2 capacity -3 is not a non-negative integer"}}

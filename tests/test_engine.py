@@ -16,7 +16,7 @@ from flowbp.bp_engine import (
     run,
     update_round,
 )
-from flowbp.errors import InfeasibleInstanceError, UnboundedObjectiveError
+from flowbp.errors import EmptyDomainError, InfeasibleInstanceError, UnboundedObjectiveError
 from flowbp.flowmodel import (
     FlowNetwork,
     check_solvable,
@@ -33,6 +33,7 @@ from helpers import (
     approx_batch_draw,
     leave_one_out_tilts,
     literal_tables,
+    pointwise_diff,
     same_modulo_constants,
     t1_network,
     uncapacitated_network,
@@ -102,15 +103,16 @@ def _differential_cases():
     base = random_network(7200, n=6, m=14, c_max=4, cap_max=3)
     yield "perturbed", preprocess_degree(perturb_costs(base, "1/1000000000000000", 3).network)[0]
     # uncapacitated arcs: messages with infinite domains; with negative
-    # costs, nodes whose leave-one-out outputs are stitched at different tilts
+    # costs, nodes whose leave-one-out outputs have slope ranges nearest 0
+    # at different tilts
     yield "uncapacitated", preprocess_degree(uncapacitated_network(7306, share=0.5, discount=0))[0]
     yield "uncapacitated-negative-3", preprocess_degree(uncapacitated_network(7303, share=0.4, discount=2))[0]
     yield "uncapacitated-negative-6", preprocess_degree(uncapacitated_network(7306, share=0.4, discount=2))[0]
 
 
 def _tilt_counts(net, state):
-    """Per node, the number of distinct tilts its leave-one-out outputs
-    are stitched at."""
+    """Per node, the number of distinct points nearest 0 of its
+    leave-one-out outputs' slope ranges."""
     prev = state.messages
     return [
         len(set(leave_one_out_tilts(
@@ -197,6 +199,23 @@ def test_update_round_builds_one_object_per_message(monkeypatch):
         monkeypatch.undo()
         assert len(built) == 2 * net.m
 
+
+
+def test_belief_is_the_validated_difference_of_the_message_sum():
+    # one trusted merge of m_tail + m_head - cost: the same function,
+    # anchor and values as the validated difference of the messages' sum
+    cases = [*_differential_cases(), *((name, net) for name, net, _ in _drift_cases())]
+    for name, net in cases:
+        tables = literal_tables(net, 8)
+        for a in net.arcs:
+            with pytest.raises(EmptyDomainError):  # round 0: zero messages on R
+                belief(net, tables[0], a.id)
+        for state in tables[1:]:
+            for a in net.arcs:
+                m_tail, m_head = state.messages[(a.id, a.tail)], state.messages[(a.id, a.head)]
+                got = belief(net, state, a.id)
+                want = pointwise_diff(m_tail.add(m_head), a.cost)
+                assert got == want and got._values == want._values, (name, state.round, a.id)
 
 def test_belief_round1_t1():
     net = t1_network()

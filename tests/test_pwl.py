@@ -19,13 +19,14 @@ from flowbp.pwl import (
     POS_INF,
     PwlConvex,
     add_composed,
+    add_shared,
     inf_convolve2,
     leave_one_out,
     node_messages,
-    pointwise_diff,
     scaled_interpolation,
 )
-from helpers import brute_min_pair, brute_min_signed, leave_one_out_tilts, random_pwl
+from flowbp.selftest import _literal_node_messages
+from helpers import brute_min_pair, brute_min_signed, leave_one_out_tilts, pointwise_diff, random_pwl
 import random
 
 
@@ -299,7 +300,15 @@ def test_trusted_results_beyond_float_range():
     g = PwlConvex((-big, 0, POS_INF), (-3, big), (0, 0))
     _assert_trusted_results(f, g, big, big)
     _assert_trusted_results(g, f, -big, -big)
-    assert f.pieces() == [(-big, POS_INF), (0, 2 * big), (big, POS_INF)]
+    # split straight from the stored data: lengths are bigints or +inf,
+    # and a reflection swaps and negates the two sides
+    for sign, split, left, right in (
+        (1, (big, 7), [(0, 2 * big, 5), (-big, POS_INF, 5)], [(big, POS_INF, 5)]),
+        (-1, (-big, 7), [(-big, POS_INF, 5)], [(0, 2 * big, 5), (big, POS_INF, 5)]),
+    ):
+        got_left, got_right = [], []
+        assert pwl._split(f, sign, 0, 5, got_left, got_right) == split
+        assert (got_left, got_right) == (left, right)
     for z in (-2 * big, -big, -5, 0, 3, big, 2 * big):
         assert f.compose_affine(-1, big).evaluate(z) == f.evaluate(big - z)
         assert f.compose_affine(1, -big).evaluate(z) == f.evaluate(z - big)
@@ -514,6 +523,36 @@ def test_add_composed_rejects_bad_affine_maps():
             f.compose_affine(a, b)
 
 
+
+@KERNEL
+@given(pwl_functions(), pwl_functions(), pwl_functions())
+def test_add_shared_equals_validated_difference(h, p, q):
+    # f and g share the summand h, as an arc's two messages share its cost
+    try:
+        f, g = h.add(p), h.add(q)
+        want = pointwise_diff(f.add(g), h)
+    except EmptyDomainError:
+        return
+    got = add_shared(f, g, h)
+    _same(got, want)
+    _same(PwlConvex(got.breakpoints, got.slopes, got.anchor), got)
+
+
+def test_add_shared_rejects_what_it_cannot_merge():
+    h = PwlConvex.linear(1, 0, 4)
+    with pytest.raises(EmptyDomainError):  # disjoint domains
+        add_shared(PwlConvex.linear(0, 0, 1), PwlConvex.linear(0, 2, 3), h)
+    with pytest.raises(EmptyDomainError):  # h is +inf on part of the sum's domain
+        add_shared(PwlConvex.constant(0), PwlConvex.linear(0, -1, 3), h)
+    vee = PwlConvex((0, 2, 4), (-1, 1), (0, 0))
+    with pytest.raises(NonConvexError):  # the slopes of f + g - h fall at 2
+        add_shared(h, h, vee)
+    assert add_shared(h, h, h) == h
+    whole = PwlConvex.constant(3).tilt(2)
+    line = add_shared(whole, whole, PwlConvex.constant(1))
+    assert (line, line._values) == (PwlConvex((NEG_INF, POS_INF), (4,), (0, 5)), (None, None))
+
+
 @st.composite
 def arc_costs(draw):
     """Costs on ``[0, cap]``: the point of a zero-capacity arc, and one to
@@ -543,11 +582,6 @@ def node_cases(draw):
     return incoming, signs, finishes
 
 
-def _literal_node_messages(incoming, signs, finishes):
-    reflected = [f.compose_affine(sign, 0) for f, sign in zip(incoming, signs)]
-    return [add_composed(phi, g, a, b) for (phi, a, b), g in zip(finishes, leave_one_out(reflected))]
-
-
 def _outcome(kernel, *args):
     try:
         return kernel(*args)
@@ -565,30 +599,40 @@ def _node_messages_match_literal_composition(seen, case):
         seen[want[0].__name__] += 1
         return
     assert len(got) == len(want)
-    for g, w in zip(got, want):
+    incoming, signs, finishes = case
+    reflected = [f.compose_affine(sign, 0) for f, sign in zip(incoming, signs)]
+    for i, (g, w, (phi, a, b)) in enumerate(zip(got, want, finishes)):
         _same(g, w)
-        # canonical and well formed, independent of the stitch both share
+        # canonical and well formed, independent of the pass both share
         _same(PwlConvex(g.breakpoints, g.slopes, g.anchor), g)
-    incoming, signs, _ = case
+        # right on and next to every breakpoint, against the pairwise
+        # convolution and plain evaluation of the finish
+        conv = reduce(inf_convolve2, reflected[:i] + reflected[i + 1:])
+        for x in g.breakpoints:
+            if x not in (NEG_INF, POS_INF):
+                for z in (x - 1, x, x + 1):
+                    parts = (phi.evaluate(z), conv.evaluate(a * z + b))
+                    assert g.evaluate(z) == (POS_INF if POS_INF in parts else sum(parts)), (i, z)
     if len(incoming) > 2:
-        reflected = [f.compose_affine(sign, 0) for f, sign in zip(incoming, signs)]
         seen["tilts > 1"] += len(set(leave_one_out_tilts(reflected))) > 1
 
 
 def test_node_messages_equal_literal_composition(monkeypatch):
     # every output of the fused kernel is exactly add_composed over
-    # leave_one_out of the reflected operands, errors included; the spy
-    # records where each finished output's window lies from its split point
+    # leave_one_out of the reflected operands, errors, anchors and values
+    # included; the spy records where each finished output's cost domain
+    # lies from its split point, in the output's own coordinate
     seen: Counter = Counter()
-    stitch = pwl._stitch
+    finish = pwl._finish
 
-    def spy(t0, v0, left, right, skip, lo=NEG_INF, hi=POS_INF):
+    def spy(z, v, left, right, skip, phi):
+        lo, hi = phi.domain
         if (lo, hi) != (NEG_INF, POS_INF):
-            where = "left" if hi < t0 else "right" if t0 < lo else "straddles" if lo < t0 < hi else "edge"
+            where = "left" if hi < z else "right" if z < lo else "straddles" if lo < z < hi else "edge"
             seen["window " + where] += 1
-        return stitch(t0, v0, left, right, skip, lo, hi)
+        return finish(z, v, left, right, skip, phi)
 
-    monkeypatch.setattr(pwl, "_stitch", spy)
+    monkeypatch.setattr(pwl, "_finish", spy)
     _node_messages_match_literal_composition(seen)
     for kind in ("window left", "window right", "window straddles", "tilts > 1",
                  "UnboundedError", "EmptyDomainError"):
