@@ -90,19 +90,21 @@ class _Plan(NamedTuple):
 # one, so a larger cache only keeps dead networks and their plans alive.
 @lru_cache(maxsize=4)
 def _plan(network: FlowNetwork) -> _Plan:
-    keys = tuple((a.id, end) for a in network.arcs for end in (a.tail, a.head))
-    position = {k: i for i, k in enumerate(keys)}
-    nodes = tuple(
-        _Node(
-            sources=tuple((e.id, w) for e, _ in inc),
-            signs=tuple(d for _, d in inc),
-            finishes=tuple((e.cost, -d, network.demands[w]) for e, d in inc),
-            slots=tuple(position[(e.id, e.head if d == 1 else e.tail)] for e, d in inc),
-        )
-        for w, inc in network.incident.items()
-        if inc
-    )
-    return _Plan(keys, tuple(a.cost for a in network.arcs for _ in (a.tail, a.head)), nodes)
+    # arc i's messages sit at 2 * i (toward its tail) and 2 * i + 1; a
+    # node's entries, one per incident arc in arc order (as in
+    # ``network.incident``), are the rows of its _Node
+    demands = network.demands
+    keys: list[MessageKey] = []
+    costs: list[PwlConvex] = []
+    nodes: dict[int, list] = {v: [] for v in demands}
+    for i, a in enumerate(network.arcs):
+        to_tail, to_head = (a.id, a.tail), (a.id, a.head)
+        keys += (to_tail, to_head)
+        costs += (a.cost, a.cost)
+        nodes[a.tail].append((to_tail, 1, (a.cost, -1, demands[a.tail]), 2 * i + 1))
+        nodes[a.head].append((to_head, -1, (a.cost, 1, demands[a.head]), 2 * i))
+    rows = (_Node(*zip(*entries)) for entries in nodes.values() if entries)
+    return _Plan(tuple(keys), tuple(costs), tuple(rows))
 
 
 def init_messages(network: FlowNetwork) -> MessageState:
@@ -161,15 +163,26 @@ def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:
     return _read_off(network, {a.id: belief(network, state, a.id) for a in network.arcs})
 
 
-def _read_off(network: FlowNetwork, beliefs: dict[int, PwlConvex]) -> FlowAssignment:
-    """Smallest belief minimizer per arc, packaged with its objective and
-    the arcs whose belief is flat at that minimizer."""
+def _minimizers(
+    network: FlowNetwork, beliefs: dict[int, PwlConvex]
+) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Smallest belief minimizer per arc, and the arcs whose belief is
+    flat at it (``b(z + 1) == b(z)``): breakpoints are integers, so the
+    piece right of an integer minimizer spans the next unit, and the
+    belief is flat there exactly when that piece's slope is 0."""
     flows = {a.id: beliefs[a.id].argmin() for a in network.arcs}
-    out = make_assignment(network, flows)
-    out.ties = tuple(
+    ties = tuple(
         aid for aid, z in flows.items()
-        if beliefs[aid].evaluate(z + 1) == beliefs[aid].evaluate(z)
+        if z < beliefs[aid].breakpoints[-1] and beliefs[aid].right_derivative(z) == 0
     )
+    return flows, ties
+
+
+def _read_off(network: FlowNetwork, beliefs: dict[int, PwlConvex]) -> FlowAssignment:
+    """:func:`_minimizers`, packaged with the flow's objective."""
+    flows, ties = _minimizers(network, beliefs)
+    out = make_assignment(network, flows)
+    out.ties = ties
     return out
 
 
@@ -202,14 +215,12 @@ class RunResult:
 def _merged_assignment(
     network: FlowNetwork,
     fixed: dict[int, int],
-    reduced_estimate: Optional[FlowAssignment],
+    flows: dict[int, int],
+    ties: tuple[int, ...],
 ) -> FlowAssignment:
-    flows = dict(fixed)
-    ties: tuple[int, ...] = ()
-    if reduced_estimate is not None:
-        flows.update(reduced_estimate.flows)
-        ties = reduced_estimate.ties
-    out = make_assignment(network, flows)
+    """The reduced network's ``flows`` and ``ties`` with the forced flows
+    merged back in, packaged on the whole network."""
+    out = make_assignment(network, {**fixed, **flows})
     out.ties = ties
     return out
 
@@ -242,7 +253,7 @@ def run(
     reduced, fixed = preprocess_degree(network)
     reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, fixed, None)
+        assignment = _merged_assignment(network, fixed, {}, ())
         if not assignment.feasible:
             raise InfeasibleFlowError("forced flows are not feasible")
         return RunResult(assignment, None, 0, 0)
@@ -262,7 +273,7 @@ def run(
                     break
             else:
                 last_flows, streak = flows, 0
-    assignment = _merged_assignment(network, fixed, _read_off(reduced, beliefs))
+    assignment = _merged_assignment(network, fixed, *_minimizers(reduced, beliefs))
     piece_totals = [driver.piece_total(r) for r in range(1, last + 1)]
     return RunResult(assignment, driver.state, total, driver.executed, piece_totals)
 
@@ -466,7 +477,7 @@ class _Rounds:
     def __init__(self, reduced: FlowNetwork, on_round=None):
         self.network = reduced
         self.on_round = on_round
-        self.state = init_messages(reduced)
+        self.state = MessageState(0, {})  # never read: round 1 is the arc costs
         self.executed = 0
         self.orbit: Optional[_Orbit] = None
         self._counts: dict[int, int] = {}  # total message pieces per table built
@@ -483,7 +494,7 @@ class _Rounds:
 
     def _built(self, state: MessageState) -> None:
         self.state = state
-        self._counts[state.round] = sum(m.piece_count for m in state.messages.values())
+        self._counts[state.round] = sum(len(m.slopes) for m in state.messages.values())
 
     def _step(self) -> None:
         if self.state.round:
@@ -607,7 +618,12 @@ class _Rounds:
         if self.orbit is not None and self.orbit.uniform:
             # the same tilt in every phase: any table starts the orbit
             self.orbit = self.orbit._replace(start=self.state)
-        return {a.id: belief(self.network, self.state, a.id) for a in self.network.arcs}
+        # belief() of every arc: its two messages are consecutive in the table
+        table = iter(self.state.messages.values())
+        return {
+            a.id: add_shared(tail, head, a.cost)
+            for a, tail, head in zip(self.network.arcs, table, table)
+        }
 
     def piece_total(self, r: int) -> int:
         """Total message pieces at round ``r`` (at most the current round):
@@ -661,7 +677,7 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
     reduced, fixed = preprocess_degree(network)
     reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, fixed, None)
+        assignment = _merged_assignment(network, fixed, {}, ())
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
     driver = _Rounds(reduced)
@@ -670,5 +686,7 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
     )
     assignment = None
     if unique:
-        assignment = _merged_assignment(network, fixed, reduced_assignment)
+        assignment = _merged_assignment(
+            network, fixed, reduced_assignment.flows, reduced_assignment.ties
+        )
     return UniquenessResult(unique, assignment, total, driver.executed)

@@ -37,7 +37,6 @@ from .flowmodel import (
     emit_dimacs,
     network_from_json_dict,
     network_to_json_dict,
-    objective_value,
     parse_dimacs,
 )
 
@@ -152,7 +151,7 @@ def cmd_solve(args) -> int:
         rounds_used=result.rounds_used,
         executed_rounds=result.executed_rounds,
         flow=_flow_dict(result.assignment.flows),
-        objective=objective_value(net, result.assignment.flows),
+        objective=result.assignment.objective,
         feasible=result.assignment.feasible,
         ties=sorted(result.assignment.ties),
         piece_stats={
@@ -179,7 +178,7 @@ def cmd_check_unique(args) -> int:
     )
     if res.unique:
         report["flow"] = _flow_dict(res.assignment.flows)
-        report["objective"] = objective_value(net, res.assignment.flows)
+        report["objective"] = res.assignment.objective
         report["feasible"] = res.assignment.feasible
     _emit(report)
     return EXIT_OK
@@ -202,7 +201,7 @@ def cmd_approx(args) -> int:
         epsilon=str(eps),
         seed=seed,
         flow=_flow_dict(res.assignment.flows),
-        objective=objective_value(net, res.assignment.flows),
+        objective=res.assignment.objective,
         feasible=res.assignment.feasible,
         decimation=[r.to_json_dict() for r in res.rounds],
         wall_time_s=round(time.perf_counter() - t0, 6),

@@ -3,15 +3,25 @@ degree-1 preprocessing, the residual-cycle certificate, the solvability
 gate, the exact min-cost-flow solver, iteration bounds, and the
 node-capacity splitting reduction.
 
-Everything here is plain integer code with no third-party imports.  The
-certificate :func:`min_cycle_cost` is the cheapest genuine residual cycle
-at a flow, returned as an extended integer (an int, ``-inf`` or ``+inf``),
-so its readers decide optimality and uniqueness by comparing it with 0.
-The solvability gate (:func:`check_solvable`, a max-flow plus a
-negative-cycle test) is what the CLI runs before message passing, and
-:func:`min_cost_flow` (successive shortest paths on the gate's max-flow
-network, one link per cost piece) is the package's one exact solver: the
-(1+eps) scheme and :func:`oracles.exact_solve` both run on it.
+Everything here is plain integer code with no third-party imports.  An
+instance is validated once, where it enters the program: the parsers,
+:meth:`FlowNetwork.from_data`, ``FlowNetwork(...)`` and
+:func:`split_node_capacities` check everything, and the integer-cost
+shorthand :func:`linear_cost` is built on the trusted path once its slope
+and capacity are plain integers.  Networks derived from a validated one
+(:func:`preprocess_degree`, :func:`cap_negative_uncapacitated` and the
+(1+eps) scheme's perturbation and arc fixing) keep every invariant, so
+they are only indexed.
+
+The certificate :func:`min_cycle_cost` is the cheapest genuine residual
+cycle at a flow, returned as an extended integer (an int, ``-inf`` or
+``+inf``), so its readers decide optimality and uniqueness by comparing it
+with 0.  The solvability gate (:func:`check_solvable`, a max-flow by
+Dinic's blocking flows plus a negative-cycle test) is what the CLI runs
+before message passing, and :func:`min_cost_flow` (successive shortest
+paths on the gate's max-flow network, one link per cost piece) is the
+package's one exact solver: the (1+eps) scheme and
+:func:`oracles.exact_solve` both run on it.
 
 Conventions.  Flow on an arc is bounded by ``0 <= x_e <= u_e`` with
 ``u_e = None`` meaning unbounded.  Node demands follow the net-supply
@@ -26,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     BadCostDomainError,
@@ -75,10 +85,20 @@ class Arc:
 
 
 def linear_cost(slope: int, capacity: Capacity) -> PwlConvex:
-    """The cost ``slope * z`` on ``[0, capacity]`` (``None`` = unbounded)."""
+    """The cost ``slope * z`` on ``[0, capacity]`` (``None`` = unbounded).
+
+    An integer slope on a capacity that is ``None`` or a positive integer,
+    and any slope on a zero capacity, are built on the trusted path with
+    their values; any other input goes through the validating
+    constructors, which raise on a bad slope or capacity.
+    """
     hi = POS_INF if capacity is None else capacity
     if hi == 0:
-        return PwlConvex.point(0, 0)
+        return PwlConvex._trusted((0,), (), (0, 0), (0,))
+    if type(slope) is int and (capacity is None or type(capacity) is int and capacity > 0):
+        return PwlConvex._trusted(
+            (0, hi), (slope,), (0, 0), (0, None if capacity is None else slope * capacity)
+        )
     return PwlConvex.linear(slope, 0, hi)
 
 
@@ -92,51 +112,71 @@ class FlowNetwork:
 
     Construction checks every structural invariant (no self-loops, balanced
     demands, costs defined on exactly the capacity interval, non-negative
-    integral capacities) and caches the maximum absolute cost slope and the
-    node adjacency.  Instances are immutable; derive modified copies via the
-    module's transformation helpers.
+    integral capacities), then indexes the instance: the arcs by id, the
+    node adjacency and the maximum absolute cost slope; the hash is
+    computed on first use and kept.  Instances are immutable.  The
+    module's transformation helpers derive modified copies of a validated
+    instance through :meth:`_trusted`, which only indexes.
     """
 
     __slots__ = ("demands", "arcs", "arc_by_id", "incident", "c_max", "_hash")
 
     def __init__(self, demands: Mapping[int, int], arcs: Iterable[Arc]):
         arcs = tuple(arcs)
-        demands = dict(demands)
+        for a in arcs:
+            _check_capacity(a.id, a.capacity)
+        self._check_and_index(dict(demands), arcs)
+
+    @classmethod
+    def _trusted(cls, demands: dict[int, int], arcs: tuple[Arc, ...]) -> "FlowNetwork":
+        """Index ``demands`` and ``arcs``, which the network owns from now
+        on, without checking them: for networks derived from a validated
+        one by a change that keeps every invariant."""
+        network = object.__new__(cls)
+        network._index(demands, arcs)
+        return network
+
+    def _check_and_index(self, demands: dict[int, int], arcs: tuple[Arc, ...]) -> None:
+        """The checks past each arc's capacity, then :meth:`_index`."""
         for v, f in demands.items():
             if not isinstance(v, int) or isinstance(f, bool) or not isinstance(f, int):
                 raise ValueError(f"node ids and demands must be integers: {v}: {f}")
         if sum(demands.values()) != 0:
             raise DemandImbalanceError(f"demands sum to {sum(demands.values())}, not 0")
-        by_id: dict[int, Arc] = {}
+        ids = set()
         for a in arcs:
             if a.tail == a.head:
                 raise SelfLoopError(f"arc {a.id} is a self-loop at node {a.tail}")
             if a.tail not in demands or a.head not in demands:
                 raise ValueError(f"arc {a.id} touches an undeclared node")
-            if a.id in by_id:
+            if a.id in ids:
                 raise ValueError(f"duplicate arc id {a.id}")
-            _check_capacity(a.id, a.capacity)
             hi = POS_INF if a.capacity is None else a.capacity
             if a.cost.domain != (0, hi):
                 raise BadCostDomainError(
                     f"arc {a.id} cost domain {a.cost.domain} != [0, {hi}]"
                 )
-            by_id[a.id] = a
+            ids.add(a.id)
+        self._index(demands, arcs)
+
+    def _index(self, demands: dict[int, int], arcs: tuple[Arc, ...]) -> None:
         self.demands = demands
         self.arcs = arcs
-        self.arc_by_id = by_id
+        by_id: dict[int, Arc] = {}
         inc: dict[int, list[tuple[Arc, int]]] = {v: [] for v in demands}
+        c_max = 0
         for a in arcs:
+            by_id[a.id] = a
             inc[a.tail].append((a, 1))
             inc[a.head].append((a, -1))
+            sls = a.cost.slopes
+            # the slopes increase, so the largest |slope| is at an end
+            if sls and (-sls[0] > c_max or sls[-1] > c_max):
+                c_max = max(-sls[0], sls[-1])
+        self.arc_by_id = by_id
         self.incident = {v: tuple(l) for v, l in inc.items()}
-        self.c_max = max(
-            (max(abs(s) for s in a.cost.slopes) if a.cost.slopes else 0 for a in arcs),
-            default=0,
-        )
-        # lru-cached lookups key on the network; hashing every arc's cost
-        # function on each lookup would cost a pass over the instance
-        self._hash = hash((tuple(sorted(demands.items())), arcs))
+        self.c_max = c_max
+        self._hash = None
 
     # -- convenience construction -------------------------------------------
 
@@ -149,17 +189,20 @@ class FlowNetwork:
         """Build from ``(id, tail, head, capacity, cost)`` tuples.
 
         ``cost`` may be a plain integer slope (shorthand for a linear cost
-        on ``[0, capacity]``) or a ready :class:`PwlConvex`.  The capacity
-        is checked before that cost is built, so a negative one raises
-        :class:`NegativeCapacityError` naming the arc.
+        on ``[0, capacity]``) or a ready :class:`PwlConvex`.  Each
+        capacity is checked as its spec is read, before that cost is
+        built, so a negative one raises :class:`NegativeCapacityError`
+        naming the arc.
         """
         arcs = []
         for aid, tail, head, cap, cost in arc_specs:
+            _check_capacity(aid, cap)
             if isinstance(cost, int):
-                _check_capacity(aid, cap)
                 cost = linear_cost(cost, cap)
             arcs.append(Arc(aid, tail, head, cap, cost))
-        return cls(demands, arcs)
+        network = object.__new__(cls)
+        network._check_and_index(dict(demands), tuple(arcs))
+        return network
 
     # -- basic queries -------------------------------------------------------
 
@@ -189,6 +232,12 @@ class FlowNetwork:
         return self.demands == other.demands and self.arcs == other.arcs
 
     def __hash__(self):
+        # lru-cached lookups key on the network; hashing every arc's cost
+        # function on each lookup would cost a pass over the instance, and
+        # most networks (a parsed one, a draw before its reduction) are
+        # never hashed at all
+        if self._hash is None:
+            self._hash = hash((tuple(sorted(self.demands.items())), self.arcs))
         return self._hash
 
     def __repr__(self) -> str:
@@ -254,8 +303,9 @@ def parse_dimacs(text: str) -> FlowNetwork:
 
     Recognized lines: ``c`` comments, one ``p min <n> <m>`` header,
     ``n <id> <flow>`` node lines (positive flow = supply; absent nodes get
-    zero), and ``a <src> <dst> <low> <cap> <cost>`` arc lines.  Lower bounds
-    must be zero.  Arcs receive ids 1..m in file order.  At most
+    zero; a node listed twice is an error), and
+    ``a <src> <dst> <low> <cap> <cost>`` arc lines.  Lower bounds must be
+    zero.  Arcs receive ids 1..m in file order.  At most
     :data:`MAX_DIMACS_NODES` nodes may be declared.
     """
     header = None
@@ -287,7 +337,7 @@ def parse_dimacs(text: str) -> FlowNetwork:
                     raise DimacsSyntaxError(
                         f"line {lineno}: expected 'a <src> <dst> <low> <cap> <cost>'"
                     )
-                arc_lines.append(tuple(int(p) for p in parts[1:]))
+                arc_lines.append(tuple(map(int, parts[1:])))
             else:
                 raise DimacsSyntaxError(f"line {lineno}: unknown descriptor {parts[0]!r}")
         except ValueError as exc:
@@ -298,10 +348,14 @@ def parse_dimacs(text: str) -> FlowNetwork:
     if len(arc_lines) != m:
         raise DimacsInconsistentError(f"header declares {m} arcs, found {len(arc_lines)}")
     demands = {v: 0 for v in range(1, n + 1)}
+    listed = set()
     for v, f in node_lines:
         if v not in demands:
             raise DimacsInconsistentError(f"node id {v} outside 1..{n}")
-        demands[v] += f
+        if v in listed:
+            raise DimacsInconsistentError(f"node id {v} is listed twice")
+        listed.add(v)
+        demands[v] = f
     specs = []
     for i, (src, dst, low, cap, cost) in enumerate(arc_lines, start=1):
         if src not in demands or dst not in demands:
@@ -447,7 +501,7 @@ def preprocess_degree(network: FlowNetwork) -> tuple[FlowNetwork, dict[int, int]
         incident[w].discard(aid)
         if len(incident[w]) <= 1:
             queue.append(w)
-    reduced = FlowNetwork(demands, [alive[aid] for aid in sorted(alive)])
+    reduced = FlowNetwork._trusted(demands, tuple(alive[aid] for aid in sorted(alive)))
     return reduced, fixed
 
 
@@ -537,6 +591,10 @@ class _Residual:
     units on it.  Residual edge ``e`` runs to ``head[e]`` with capacity
     ``cap[e]`` and cost ``cost[e]``, and ``e ^ 1`` is its reverse, so link
     ``k`` is edge ``2 * k`` and carries flow ``cap[2 * k + 1]``.
+
+    The solvability gate sends a maximum flow by :meth:`blocking_flows`
+    (Dinic), which reads no costs; :func:`min_cost_flow` sends a cheapest
+    one by :meth:`augment` along shortest paths.
     """
 
     def __init__(self, demands: Mapping[int, int], links):
@@ -557,30 +615,70 @@ class _Residual:
         self.supply = _supply(demands)
 
     def _link(self, u: int, v: int, c: int, cost: int, flow: int) -> None:
-        for tail, head, cap, price in ((u, v, c - flow, cost), (v, u, flow, -cost)):
-            self.adj[tail].append(len(self.head))
-            self.head.append(head)
-            self.cap.append(cap)
-            self.cost.append(price)
+        e = len(self.head)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        self.head += (v, u)
+        self.cap += (c - flow, flow)
+        self.cost += (cost, -cost)
 
-    def fewest_arcs(self) -> dict[int, int]:
-        """Breadth-first search tree from the source: node -> the residual
-        edge that reached it (the source maps to -1).  Augmenting along it
-        is Edmonds-Karp, whose number of augmentations does not depend on
-        the capacities."""
-        adj, head, cap, sink = self.adj, self.head, self.cap, self.sink
-        via = {self.source: -1}
-        frontier = [self.source]
-        while frontier and sink not in via:
-            reached = []
-            for u in frontier:
-                for e in adj[u]:
-                    w = head[e]
-                    if cap[e] and w not in via:
-                        via[w] = e
-                        reached.append(w)
-            frontier = reached
-        return via
+    def blocking_flows(self) -> int:
+        """A maximum flow from the source to the sink by Dinic's blocking
+        flows; returns the units sent (at most ``supply``, the room out of
+        the source).
+
+        Each phase labels every node with its breadth-first distance from
+        the source over edges with room, then sends a blocking flow along
+        edges that climb exactly one level: a depth-first walk keeps a
+        cursor into each node's edges, past the edges it has found full or
+        leading to a dead end, and steps back from a node whose cursor runs
+        out (pruning it for the rest of the phase).  Every phase lengthens
+        the shortest path to the sink, so there are fewer phases than
+        nodes.
+        """
+        adj, head, cap, source, sink = self.adj, self.head, self.cap, self.source, self.sink
+        total = 0
+        while True:
+            level = [-1] * len(adj)
+            level[source] = 0
+            frontier = [source]
+            while frontier and level[sink] < 0:
+                reached = []
+                for u in frontier:
+                    up = level[u] + 1
+                    for e in adj[u]:
+                        w = head[e]
+                        if cap[e] and level[w] < 0:
+                            level[w] = up
+                            reached.append(w)
+                frontier = reached
+            if level[sink] < 0:
+                return total
+            cursor = [0] * len(adj)
+            path: list[int] = []  # the edges from the source to u
+            u = source
+            while True:
+                if u == sink:
+                    push = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                    total += push
+                    path.clear()
+                    u = source
+                edges, i = adj[u], cursor[u]
+                up = level[u] + 1
+                while i < len(edges) and not (cap[edges[i]] and level[head[edges[i]]] == up):
+                    i += 1
+                cursor[u] = i
+                if i < len(edges):
+                    path.append(edges[i])
+                    u = head[edges[i]]
+                elif path:  # a dead end: step back past the edge into it
+                    u = head[path.pop() ^ 1]
+                    cursor[u] += 1
+                else:
+                    break
 
     def cheapest(self) -> dict[int, int]:
         """Shortest-path tree from the source under non-negative edge
@@ -610,14 +708,14 @@ class _Residual:
             pot[v] += d
         return via
 
-    def augment(self, paths: Callable[[], dict[int, int]]) -> int:
-        """Push flow from the source along the path to the sink in each
-        tree ``paths()`` returns, until ``supply`` units are sent or the
-        sink is cut off; returns the units sent."""
+    def augment(self) -> int:
+        """Successive shortest paths: push flow from the source along the
+        path to the sink in each :meth:`cheapest` tree, until ``supply``
+        units are sent or the sink is cut off; returns the units sent."""
         cap, head = self.cap, self.head
         total = 0
         while total < self.supply:
-            via = paths()
+            via = self.cheapest()
             if self.sink not in via:
                 break
             path = []
@@ -673,12 +771,12 @@ def cap_negative_uncapacitated(network: FlowNetwork) -> FlowNetwork:
     if not capped:
         return network
     bound = flow_bound(network)
-    return FlowNetwork(network.demands, [
+    return FlowNetwork._trusted(dict(network.demands), tuple(
         Arc(a.id, a.tail, a.head, bound,
             PwlConvex(a.cost.breakpoints[:-1] + (bound,), a.cost.slopes, a.cost.anchor))
         if a.id in capped else a
         for a in network.arcs
-    ])
+    ))
 
 
 def min_cost_flow(network: FlowNetwork) -> dict[int, int]:
@@ -705,7 +803,7 @@ def min_cost_flow(network: FlowNetwork) -> dict[int, int]:
             links.append((a.tail, a.head, span, slope, flow))
             owners.append(a.id)
     residual = _Residual(demands, links)
-    if residual.augment(residual.cheapest) < residual.supply:
+    if residual.augment() < residual.supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
     flows = dict.fromkeys(network.arc_by_id, 0)
     for k, aid in enumerate(owners):
@@ -717,7 +815,9 @@ def check_solvable(network: FlowNetwork) -> None:
     """Raise unless the instance has an optimal flow.
 
     :class:`InfeasibleInstanceError` when no flow meets the demands (a
-    max-flow from the supply to the demand nodes falls short);
+    max-flow from the supply to the demand nodes, by Dinic's blocking
+    flows in :meth:`_Residual.blocking_flows`, falls short; uncapacitated
+    arcs take the total supply as their capacity);
     :class:`UnboundedObjectiveError` when a feasible instance's
     uncapacitated arcs, priced at their last slope, close a negative cycle,
     around which flow can grow without bound.  Without such a cycle the
@@ -734,7 +834,7 @@ def check_solvable(network: FlowNetwork) -> None:
         (a.tail, a.head, supply if a.capacity is None else a.capacity, 0, 0)
         for a in network.arcs
     ])
-    if residual.augment(residual.fewest_arcs) < supply:
+    if residual.blocking_flows() < supply:
         raise InfeasibleInstanceError("no flow satisfies all node demands")
     free = [(a.tail, a.head, a.cost.slopes[-1]) for a in network.arcs if a.capacity is None]
     if _has_negative_cycle({v for tail, head, _ in free for v in (tail, head)}, free):

@@ -233,7 +233,7 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
         if scaled < 1 or abs(scaled * den - 4 * m * s * per) > 4 * m * den:
             raise ResultCheckError(f"scaled cost {scaled} of arc {a.id} is off its grid")
         arcs.append(Arc(a.id, a.tail, a.head, a.capacity, linear_cost(scaled, a.capacity)))
-    perturbed = FlowNetwork(network.demands, arcs)
+    perturbed = FlowNetwork._trusted(dict(network.demands), tuple(arcs))
     if perturbed.c_max > 4 * m * (c_max * per // den) + 4 * m:
         raise ResultCheckError(f"perturbed c_max {perturbed.c_max} exceeds its bound")
     t = Fraction(den, per)
@@ -357,7 +357,7 @@ def fix_arc(network: FlowNetwork, arc_id: int, value: int) -> FlowNetwork:
     demands = dict(network.demands)
     demands[arc.tail] -= value
     demands[arc.head] += value
-    return FlowNetwork(demands, [a for a in network.arcs if a.id != arc_id])
+    return FlowNetwork._trusted(demands, tuple(a for a in network.arcs if a.id != arc_id))
 
 
 @dataclass

@@ -370,6 +370,46 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _calls_by_function(attribute: str) -> list[tuple[str, str, str]]:
+    """(module, enclosing function, ``X``) of every call ``X.<attribute>(...)``
+    in the package."""
+    package = Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attribute
+                ):
+                    receiver = node.func.value
+                    name = receiver.id if isinstance(receiver, ast.Name) else ast.unparse(receiver)
+                    found.append((path.stem, fn.name, name))
+    return found
+
+
+def test_only_derived_networks_skip_validation():
+    # an instance from outside is validated once; only the helpers that
+    # derive a network from a validated one may build it unchecked
+    calls = _calls_by_function("_trusted")
+    assert {name for _, _, name in calls} == {"FlowNetwork", "PwlConvex"}
+    assert {(module, fn) for module, fn, name in calls if name == "FlowNetwork"} == {
+        ("flowmodel", "preprocess_degree"),
+        ("flowmodel", "cap_negative_uncapacitated"),
+        ("fpras", "perturb_costs"),
+        ("fpras", "fix_arc"),
+    }
+    # nothing else reaches the indexing without the checks
+    indexing = sorted(fn for _, fn, _ in _calls_by_function("_index"))
+    assert indexing == ["_check_and_index", "_trusted"]
+    checking = sorted(fn for _, fn, _ in _calls_by_function("_check_and_index"))
+    assert checking == ["__init__", "from_data"]
+
+
 def test_package_imports_only_the_standard_library():
     # the package declares no runtime dependencies
     package = Path(cli.__file__).resolve().parent
@@ -389,18 +429,6 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips assert, so no result guarantee may rest on one
-    package = Path(cli.__file__).resolve().parent
-    found = [
-        f"{path.relative_to(package)}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
-
-
 _CLI = "import sys; from flowbp import cli; sys.exit(cli.main(sys.argv[1:]))"
 
 
@@ -417,6 +445,14 @@ def test_json_instance_with_a_repeated_node_id_is_parse_error(capsys, tmp_path):
     d["nodes"].insert(1, {"id": 1, "demand": 0})
     p = tmp_path / "repeated.json"
     p.write_text(json.dumps(d))
+    code, report = run_cli(capsys, "solve", "--input", str(p))
+    assert code == cli.EXIT_PARSE
+    assert report == {"error": {"kind": "parse", "detail": "node id 1 is listed twice"}}
+
+
+def test_dimacs_instance_with_a_repeated_node_line_is_parse_error(capsys, tmp_path):
+    p = tmp_path / "repeated.dimacs"
+    p.write_text("p min 2 1\nn 1 2\nn 1 -1\nn 2 -1\na 1 2 0 3 1\n")
     code, report = run_cli(capsys, "solve", "--input", str(p))
     assert code == cli.EXIT_PARSE
     assert report == {"error": {"kind": "parse", "detail": "node id 1 is listed twice"}}

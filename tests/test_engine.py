@@ -16,7 +16,12 @@ from flowbp.bp_engine import (
     run,
     update_round,
 )
-from flowbp.errors import EmptyDomainError, InfeasibleInstanceError, UnboundedObjectiveError
+from flowbp.errors import (
+    EmptyDomainError,
+    InfeasibleInstanceError,
+    UnboundedError,
+    UnboundedObjectiveError,
+)
 from flowbp.flowmodel import (
     FlowNetwork,
     check_solvable,
@@ -294,6 +299,27 @@ def test_estimate_flags_ties():
     est = estimate(net, state)
     assert est.flows == {1: 0, 2: 0}  # smallest minimizers
     assert set(est.ties) == {1, 2}
+
+
+def test_estimate_ties_are_the_arcs_flat_one_unit_up():
+    # ties are read from the slope right of each minimizer; by definition
+    # they are the arcs whose belief one unit up equals its minimum
+    cases = [*_differential_cases(), *((name, net) for name, net, _ in _drift_cases())]
+    flat = 0
+    for name, net in cases:
+        for state in literal_tables(net, 6)[1:]:
+            try:
+                est = estimate(net, state)
+            except UnboundedError:  # uncapped negative-cost uncapacitated arcs
+                continue
+            beliefs = {a.id: belief(net, state, a.id) for a in net.arcs}
+            want = tuple(
+                aid for aid, z in est.flows.items()
+                if beliefs[aid].evaluate(z + 1) == beliefs[aid].evaluate(z)
+            )
+            assert est.ties == want, (name, state.round)
+            flat += len(want)
+    assert flat >= 10
 
 
 def test_detect_uniqueness_t1():

@@ -1,5 +1,9 @@
+import sys
+from fractions import Fraction
+
 import pytest
 
+from flowbp import bp_engine
 from flowbp.errors import (
     BadCostDomainError,
     DemandImbalanceError,
@@ -7,7 +11,9 @@ from flowbp.errors import (
     DimacsSyntaxError,
     ForcedInfeasibleError,
     InfeasibleFlowError,
+    MalformedDomainError,
     NegativeCapacityError,
+    NonConvexError,
     NonZeroLowerBoundError,
     SelfLoopError,
 )
@@ -26,10 +32,12 @@ from flowbp.flowmodel import (
     preprocess_degree,
     split_node_capacities,
 )
+from flowbp.fpras import approx_scheme
 from flowbp.gen import random_network
 from flowbp.oracles import enumerate_integral_flows
 from flowbp.pwl import NEG_INF, POS_INF, PwlConvex
 from helpers import t1_network
+from test_engine import _differential_cases
 
 T1_DIMACS = """\
 c tiny triangle
@@ -90,6 +98,12 @@ def test_parse_dimacs_rejects_lower_bound():
 def test_parse_dimacs_inconsistent_header():
     with pytest.raises(DimacsInconsistentError):
         parse_dimacs("p min 3 2\nn 1 1\nn 3 -1\na 1 2 0 2 1\na 2 3 0 2 1\na 1 3 0 2 3\n")
+
+
+def test_parse_dimacs_repeated_node_line():
+    # summing the two lines would make node 1 a supply of 1
+    with pytest.raises(DimacsInconsistentError, match="^node id 1 is listed twice$"):
+        parse_dimacs("p min 2 1\nn 1 2\nn 1 -1\nn 2 -1\na 1 2 0 3 1\n")
 
 
 def test_parse_dimacs_syntax():
@@ -299,3 +313,97 @@ def test_split_unbounded_caps_preserve_optimum():
     net = t1_network()
     split = split_node_capacities(net, {})
     assert exact_solve(split.network).objective == exact_solve(net).objective
+
+
+# ---------------------------------------------------------------------------
+# The trust boundary: validated once where an instance enters
+
+
+def _validated_linear_cost(slope, capacity):
+    """The reference for :func:`linear_cost`: the validating constructors."""
+    hi = POS_INF if capacity is None else capacity
+    return PwlConvex.point(0, 0) if hi == 0 else PwlConvex.linear(slope, 0, hi)
+
+
+def _outcome(build, *args):
+    try:
+        f = build(*args)
+    except Exception as exc:  # an error is an outcome too: its type and message
+        return type(exc), str(exc)
+    return f.breakpoints, f.slopes, f.anchor, f._values
+
+
+@pytest.mark.parametrize("slope", [0, 1, -3, 7 * 2**1100, -(2**1100) - 1])
+@pytest.mark.parametrize("capacity", [0, 1, 5, 3 * 2**1100, None])
+def test_linear_cost_equals_the_validating_constructors(slope, capacity):
+    want = _outcome(_validated_linear_cost, slope, capacity)
+    assert _outcome(linear_cost, slope, capacity) == want
+
+
+@pytest.mark.parametrize(
+    "slope, capacity, error",
+    [
+        (True, 2, NonConvexError),
+        (1.5, 2, NonConvexError),
+        (1, -3, MalformedDomainError),
+        (1, 2.5, MalformedDomainError),
+        (1, True, MalformedDomainError),
+        (True, None, NonConvexError),
+        (Fraction(2**1100, 3), 2, NonConvexError),
+    ],
+)
+def test_linear_cost_rejects_what_the_validating_constructors_reject(slope, capacity, error):
+    got = _outcome(linear_cost, slope, capacity)
+    assert got[0] is error
+    assert got == _outcome(_validated_linear_cost, slope, capacity)
+
+
+def test_bad_arc_data_fails_at_the_boundary():
+    with pytest.raises(NonConvexError, match="^slope True is not an integer$"):
+        FlowNetwork.from_data({1: 0, 2: 0}, [(1, 1, 2, 2, True)])
+    detail = "^arc 2 capacity -3 is not a non-negative integer$"
+    with pytest.raises(NegativeCapacityError, match=detail):
+        parse_dimacs(T1_DIMACS.replace("a 2 3 0 2 1", "a 2 3 0 -3 1"))
+    d = network_to_json_dict(t1_network())
+    d["arcs"][1]["capacity"] = -3
+    with pytest.raises(NegativeCapacityError, match=detail):
+        network_from_json_dict(d)
+
+
+def test_derived_networks_equal_their_validated_construction(monkeypatch):
+    # every network built on the trusted path, while the engine runs its
+    # corpus and approx runs criterion-8-shaped instances, must be what the
+    # validating constructor builds from the same data
+    made = []
+    build = FlowNetwork._trusted.__func__
+
+    def spy(cls, demands, arcs):
+        net = build(cls, demands, arcs)
+        made.append((sys._getframe(1).f_code.co_name, net))
+        return net
+
+    monkeypatch.setattr(FlowNetwork, "_trusted", classmethod(spy))
+    for _, net in _differential_cases():
+        bp_engine.run(net, rounds=3)
+    for seed in range(24):
+        k = seed % 3
+        net = random_network(
+            seed, n=4 + k, m=5 + k, c_max=1 + seed % 5, cap_max=1 + seed % 3, ensure_unique=True
+        )
+        approx_scheme(net, ("1/10", "1/2")[seed % 2], seed)
+    assert {who for who, _ in made} == {
+        "preprocess_degree", "cap_negative_uncapacitated", "perturb_costs", "fix_arc"
+    }
+    for _, net in made:
+        twin = FlowNetwork(net.demands, net.arcs)
+        assert net == twin and hash(net) == hash(twin)
+        assert list(net.demands.items()) == list(twin.demands.items())
+        assert list(net.arc_by_id.items()) == list(twin.arc_by_id.items())
+        assert list(net.incident.items()) == list(twin.incident.items())
+        assert net.c_max == twin.c_max
+        # and what the index holds, from its definition
+        assert net.c_max == max((abs(s) for a in net.arcs for s in a.cost.slopes), default=0)
+        assert net.incident == {
+            v: tuple((a, a.delta(v)) for a in net.arcs if v in (a.tail, a.head))
+            for v in net.demands
+        }

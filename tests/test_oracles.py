@@ -17,6 +17,7 @@ from flowbp.errors import (
 from flowbp.flowmodel import (
     FlowNetwork,
     UNBOUNDED,
+    _Residual,
     check_solvable,
     flow_bound,
     min_cost_flow,
@@ -229,6 +230,70 @@ def test_solvability_gate_without_arcs(demands, outcome):
     else:
         with pytest.raises(InfeasibleInstanceError, match=outcome[1]):
             exact_solve(net)
+
+
+def _max_flow_corpus(count: int, seed: int = 14):
+    """Random link sets of the gate's residual network: n 2-9, up to 3n
+    links between random endpoints (so parallel and antiparallel links),
+    capacities 0-5, about a quarter uncapacitated at the total supply, as
+    the gate gives them, and demands from random transfers, which often
+    cannot be met."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        demands = {v: 0 for v in range(n)}
+        for _ in range(rng.randint(1, 4)):
+            u, v = rng.sample(range(n), 2)
+            k = rng.randint(1, 5)
+            demands[u] += k
+            demands[v] -= k
+        supply = sum(f for f in demands.values() if f > 0)
+        links = []
+        for _ in range(rng.randint(1, 3 * n)):
+            tail, head = rng.sample(range(n), 2)
+            links.append((tail, head, supply if rng.random() < 0.25 else rng.randint(0, 5), 0, 0))
+        yield demands, links
+
+
+def test_gate_max_flow_equals_networkx_maximum_flow_value():
+    # networkx is a test-only reference; a blocking-flow walk that loses
+    # its level condition or its dead-end pruning loops, and runs out of time
+    seen = {"parallel": 0, "zero": 0, "uncapacitated": 0, "short": 0, "met": 0}
+    for demands, links in _max_flow_corpus(800):
+        supply = sum(f for f in demands.values() if f > 0)
+        G = nx.DiGraph()
+        G.add_nodes_from(["s", "t"])
+        for tail, head, cap, _, _ in links:
+            if G.has_edge(tail, head):
+                G[tail][head]["capacity"] += cap
+                seen["parallel"] += 1
+            else:
+                G.add_edge(tail, head, capacity=cap)
+            seen["zero"] += cap == 0
+            seen["uncapacitated"] += cap == supply
+        for v, f in demands.items():
+            if f > 0:
+                G.add_edge("s", v, capacity=f)
+            elif f < 0:
+                G.add_edge(v, "t", capacity=-f)
+        residual = _Residual(demands, links)
+        room = list(residual.cap)
+        with _time_limit(5):
+            sent = residual.blocking_flows()
+        assert sent == nx.maximum_flow_value(G, "s", "t")
+        seen["short" if sent < supply else "met"] += 1
+        # what was sent is a flow: within each edge's room, conserved at
+        # every node but the two terminals, and ``sent`` out of the source
+        head, cap = residual.head, residual.cap
+        balance = [0] * len(residual.adj)
+        for e in range(0, len(head), 2):
+            x = cap[e + 1] - room[e + 1]
+            assert 0 <= x <= room[e]
+            balance[head[e + 1]] += x
+            balance[head[e]] -= x
+        assert balance[residual.source] == sent == -balance[residual.sink]
+        assert not any(balance[: residual.source])
+    assert min(seen.values()) >= 50, seen
 
 
 def _perturbed_corpus(count: int, seed: int = 9):
