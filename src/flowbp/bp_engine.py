@@ -33,19 +33,22 @@ Everything the estimate and the gap test depend on is read from the
 message *shapes* (messages modulo one additive constant each), because one
 round shifts each new message by a constant when its inputs are shifted by
 constants.  One round driver steps every solve, gap test and probe.  It
-finds orbits of the shapes: breakpoints that repeat with a period while
-each piece's slope moves by a fixed integer per period, certified from the
-tables alone for as many periods as the slope order at every node holds.
-It answers "beliefs at round N" by building the table of the orbit's last
-whole period before N and stepping the rest, with identical results,
-unless a per-round hook must see every table.
+searches the tables it has stepped for orbits of the shapes: breakpoints
+that repeat with a period while each piece's slope moves by a fixed
+integer per period, certified from the tables alone for as many periods
+as the slope order at every node holds.  It answers "beliefs at round N"
+by building the table of the orbit's last whole period before N and
+stepping the rest, with identical results, unless a per-round hook must
+see every table.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, cycle
 from typing import Callable, NamedTuple, Optional
 
 from .errors import EmptyDomainError, InfeasibleFlowError
@@ -160,7 +163,10 @@ def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:
     cannot have a unique optimum if this persists) are recorded in
     ``ties``.
     """
-    return _read_off(network, {a.id: belief(network, state, a.id) for a in network.arcs})
+    flows, ties = _minimizers(network, {a.id: belief(network, state, a.id) for a in network.arcs})
+    out = make_assignment(network, flows)
+    out.ties = ties
+    return out
 
 
 def _minimizers(
@@ -176,14 +182,6 @@ def _minimizers(
         if z < beliefs[aid].breakpoints[-1] and beliefs[aid].right_derivative(z) == 0
     )
     return flows, ties
-
-
-def _read_off(network: FlowNetwork, beliefs: dict[int, PwlConvex]) -> FlowAssignment:
-    """:func:`_minimizers`, packaged with the flow's objective."""
-    flows, ties = _minimizers(network, beliefs)
-    out = make_assignment(network, flows)
-    out.ties = ties
-    return out
 
 
 def check_message_invariants(network: FlowNetwork, state: MessageState) -> None:
@@ -293,6 +291,16 @@ def dump_round(state: MessageState) -> dict:
 # The round driver with its drift-orbit fast-forward, and the gap test
 
 
+#: The most tables the orbit search keeps, so that a run certifying no
+#: orbit holds and searches a bounded window; drift orbits of period up to
+#: a quarter of it stay in reach.
+_WINDOW = 64
+
+_BREAKPOINTS = operator.attrgetter("breakpoints")
+_SLOPES = operator.attrgetter("slopes")
+_WEIGHTS = tuple(map(random.Random(0).getrandbits, [32] * 1024))  # of _fingerprint
+
+
 def _same_breakpoints(old: MessageState, new: MessageState) -> bool:
     return all(
         f.breakpoints == g.breakpoints
@@ -364,6 +372,14 @@ def _drift(old: MessageState, new: MessageState) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _fingerprint(state: MessageState) -> int:
+    """A linear hash of every slope in table order: between tables with
+    equal breakpoints (whose pieces line up), equal drifts give equal
+    differences of fingerprints."""
+    slopes = chain.from_iterable(map(_SLOPES, state.messages.values()))
+    return sum(map(operator.mul, cycle(_WEIGHTS), slopes))
+
+
 def _periods_kept(network: FlowNetwork, old: MessageState, new: MessageState) -> Extended:
     """For how many periods the slope order at every node holds, when
     ``new`` is ``old`` one period later with equal breakpoints.
@@ -422,50 +438,31 @@ class _Orbit(NamedTuple):
         )
 
 
-@dataclass
-class _Candidate:
-    """A drift orbit under test: the tables of its first two periods."""
-
-    period: int
-    tables: list[MessageState]  # from its start on
-
-
-@dataclass
-class _Clock:
-    """The drift over each ``period`` rounds, hashed, watched until one
-    repeats: the orbit's period is then that many periods."""
-
-    period: int
-    last: MessageState  # the table the next drift is taken from
-    seen: dict[int, int]  # drift hash -> the count of periods it was seen at
-    periods: int
-
-
 class _Rounds:
     """The message recursion on one reduced network, stepped on demand
     through the module-level :func:`update_round`.
 
-    Without an ``on_round`` hook, every stepped table is searched for an
-    orbit, in two ways:
+    Without an ``on_round`` hook, each stepped table is tested against a
+    window of the tables stepped since the search (re)started, whose older
+    half is dropped at every power of two rounds since then and whenever
+    it holds ``_WINDOW`` tables.  The last one with the same breakpoints is
+    ``d`` rounds back.
 
-    * Uniform orbits, looked for first: each table is compared with
-      one checkpoint table, moved to the current round at each power of
-      two rounds since the search started (Brent's cycle detection).  A
+    * Uniform orbits, tested ``d`` rounds back and at the checkpoint, the
+      table of the last power of two (as in Brent's cycle detection): a
       match up to ``alpha_k * z + beta_k`` per message that
-      :func:`_invariant_tilt` certifies is an orbit with no end: every later
-      table is a tilt of one a whole number of periods back.
-    * Drift orbits: once the breakpoints repeat with a least period ``P``
-      over ``2P`` rounds (one hash per table), the next two periods are
-      stepped as usual.  They certify an orbit when every phase keeps its
-      breakpoints, each piece's slope moves by the same integer over the
-      third period's first round as over the first, and the slope order at
-      every node holds for :func:`_periods_kept` periods, more than two.  A
-      round's output is a function of its input modulo constants, and
-      canonical, so its breakpoints follow from the input breakpoints and
-      those orders, and its slopes are input slopes plus arc-cost slopes:
-      the tables stay exact through the certified end.  When the drift does
-      not repeat, the drifts over further periods are hashed until one
-      does, and its multiple of ``P`` is tried next.
+      :func:`_invariant_tilt` certifies is an orbit with no end, since
+      every later table is a tilt of one a whole number of periods back.
+    * Drift orbits, tested at each period ``Q`` a multiple of ``d`` with
+      ``2Q + 1`` tables in the window, when the fingerprints of the period
+      starts step by equal amounts and the breakpoint hashes repeat in
+      every phase.  Every phase keeps its breakpoints over both periods,
+      each piece's slope moves by the same integer over both, and the slope
+      order at every node holds for :func:`_periods_kept` periods, more
+      than two.  A round's output is a function of its input modulo
+      constants, and canonical, so its breakpoints follow from the input
+      breakpoints and those orders, and its slopes are input slopes plus
+      arc-cost slopes: the tables stay exact through the certified end.
 
     :meth:`beliefs` lands on the orbit's last round a whole number of
     periods from its start at or before the target (a table built by
@@ -485,12 +482,12 @@ class _Rounds:
         self._search_from(self.state)
 
     def _search_from(self, state: MessageState) -> None:
-        self._checkpoint, self._checkpoint_key = state, None
         self._origin = state.round
-        self._hashes: list[int] = []  # breakpoint hash per stepped round
-        self._seen: dict[int, list[int]] = {}  # hash -> its positions in _hashes
-        self._candidate: Optional[_Candidate] = None
-        self._clock: Optional[_Clock] = None
+        # the window, oldest first: consecutive stepped tables, with a hash
+        # of each one's breakpoints and its _fingerprint once computed
+        self._tables: list[MessageState] = []
+        self._keys: list[int] = []
+        self._prints: list[Optional[int]] = []
 
     def _built(self, state: MessageState) -> None:
         self.state = state
@@ -509,86 +506,68 @@ class _Rounds:
             self._search()
 
     def _search(self) -> None:
-        state, check = self.state, self._checkpoint
-        if self._candidate is not None:
-            self._test_candidate()
-            if self.orbit is not None:
-                return
-        elif self._clock is not None:
-            self._tick_clock()
-        key = hash(tuple(f.breakpoints for f in state.messages.values()))
-        if key == self._checkpoint_key and _same_shape(check, state):
-            alpha = _invariant_tilt(self.network, check, state)
-            if alpha is not None:
-                drift = tuple((alpha[k],) * len(f.slopes) for k, f in state.messages.items())
-                self._certify(_Orbit(state, state.round - check.round, drift, POS_INF, True), check.round)
-                return
-        self._hashes.append(key)
-        self._seen.setdefault(key, []).append(len(self._hashes) - 1)
-        if self._candidate is None and self._clock is None:
-            period = self._breakpoint_period()
-            if period:
-                self._candidate = _Candidate(period, [state])
+        state, tables, keys, prints = self.state, self._tables, self._keys, self._prints
+        key = hash(tuple(map(_BREAKPOINTS, state.messages.values())))
+        # the last table in the window with the same breakpoints is d back
+        d = keys[::-1].index(key) + 1 if key in keys else 0
         t = state.round - self._origin
-        if t & (t - 1) == 0:
-            self._checkpoint, self._checkpoint_key = state, key
-
-    def _breakpoint_period(self) -> int:
-        """The least ``P`` such that the breakpoints of the last ``P``
-        rounds repeat those of the ``P`` before, or 0."""
-        hashes = self._hashes
-        r = len(hashes) - 1
-        for prev in reversed(self._seen[hashes[r]][:-1]):
-            p = r - prev
-            if 2 * p > len(hashes):
-                break
-            if all(hashes[r - j] == hashes[prev - j] for j in range(1, p)):
-                return p
-        return 0
-
-    def _test_candidate(self) -> None:
-        cand, state = self._candidate, self.state
-        tables, period = cand.tables, cand.period
+        # the checkpoint, c back, is the table of the last power of two before t
+        c = t - (1 << (t - 1).bit_length() - 1) if t > 1 else 0
+        if d and self._uniform(tables[-d]):
+            return
+        if c and c != d and c <= len(keys) and keys[-c] == key and self._uniform(tables[-c]):
+            return
         tables.append(state)
-        i = len(tables) - 1
-        if i < period:
-            return
-        if not _same_breakpoints(tables[i - period], state):
-            self._candidate = None
-            return
-        if i < 2 * period:
-            return
-        self._candidate = None
-        drift = _drift(tables[0], tables[period])
-        again = _drift(tables[period], state)
-        if again == drift:
-            kept = min(_periods_kept(self.network, tables[p], tables[p + period]) for p in range(period))
-            if kept > 2:  # the first two periods are stepped anyway
-                end = tables[0].round + kept * period
-                self._certify(_Orbit(state, period, drift, end, False), tables[0].round)
+        keys.append(key)
+        prints.append(None)
+        f = self._fingerprint_at
+        for q in range(d, (len(tables) + 1) // 2, d) if d else ():
+            if (
+                keys[-2 * q - 1:-q] == keys[-q - 1:]
+                and f(-1) - f(-1 - q) == f(-1 - q) - f(-1 - 2 * q)
+                and self._drifting(q)
+            ):
                 return
-        if self._clock is None:
-            self._clock = _Clock(period, state, {hash(drift): 1, hash(again): 2}, 2)
+        if t & (t - 1) == 0 or len(tables) == _WINDOW:
+            for column in (tables, keys, prints):
+                del column[:len(column) // 2]
 
-    def _tick_clock(self) -> None:
-        clock, state = self._clock, self.state
-        if (state.round - clock.last.round) % clock.period:
-            return
-        if not _same_breakpoints(clock.last, state):
-            self._clock = None
-            return
-        key = hash(_drift(clock.last, state))
-        clock.periods += 1
-        clock.last = state
-        if key in clock.seen:
-            self._clock = None
-            self._candidate = _Candidate((clock.periods - clock.seen[key]) * clock.period, [state])
-        else:
-            clock.seen[key] = clock.periods
+    def _fingerprint_at(self, i: int) -> int:
+        """:func:`_fingerprint` of window table ``i``, computed once."""
+        prints = self._prints
+        if prints[i] is None:
+            prints[i] = _fingerprint(self._tables[i])
+        return prints[i]
+
+    def _uniform(self, old: MessageState) -> bool:
+        """Certify a uniform orbit from ``old`` to the current table."""
+        state = self.state
+        # the tilt test fails more often, and first
+        alpha = _invariant_tilt(self.network, old, state)
+        if alpha is None or not _same_shape(old, state):
+            return False
+        drift = tuple((alpha[k],) * len(f.slopes) for k, f in state.messages.items())
+        self._certify(_Orbit(state, state.round - old.round, drift, POS_INF, True), old.round)
+        return True
+
+    def _drifting(self, q: int) -> bool:
+        """Certify a drift orbit of period ``q`` from the window's tables of
+        the last two periods."""
+        tables = self._tables[-2 * q - 1:]
+        first, mid, state = tables[0], tables[q], tables[-1]
+        if not all(map(_same_breakpoints, tables[:q + 1], tables[q:])):
+            return False
+        drift = _drift(first, mid)
+        if drift != _drift(mid, state):
+            return False
+        kept = min(_periods_kept(self.network, tables[p], tables[p + q]) for p in range(q))
+        if kept <= 2:  # the first two periods are stepped anyway
+            return False
+        self._certify(_Orbit(state, q, drift, first.round + kept * q, False), first.round)
+        return True
 
     def _certify(self, orbit: _Orbit, stepped_from: int) -> None:
         self.orbit = orbit
-        self._candidate = None
         self._windows.append((stepped_from, orbit.period, orbit.end))
 
     def _land(self, target: int) -> None:
@@ -639,8 +618,9 @@ class _Rounds:
 
 def gap_test(
     reduced: FlowNetwork, beliefs: dict[int, PwlConvex], threshold: int
-) -> tuple[bool, FlowAssignment]:
-    """The strict final-belief gap test and the accompanying estimate.
+) -> tuple[bool, dict[int, int], tuple[int, ...]]:
+    """The strict final-belief gap test, with the estimate's flows and ties
+    (:func:`_minimizers`).
 
     Uniqueness holds iff for every arc the belief one unit away from its
     smallest minimizer exceeds the minimizer's belief by strictly more than
@@ -648,13 +628,13 @@ def gap_test(
     vacuously).  Only belief differences are read, so beliefs known up to
     additive constants are fine.
     """
-    out = _read_off(reduced, beliefs)
+    flows, ties = _minimizers(reduced, beliefs)
     unique = all(
         min(beliefs[aid].evaluate(z - 1), beliefs[aid].evaluate(z + 1))
         > threshold + beliefs[aid].evaluate(z)
-        for aid, z in out.flows.items()
+        for aid, z in flows.items()
     )
-    return unique, out
+    return unique, flows, ties
 
 
 @dataclass
@@ -681,12 +661,6 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
     driver = _Rounds(reduced)
-    unique, reduced_assignment = gap_test(
-        reduced, driver.beliefs(total), reduced.n * reduced.c_max
-    )
-    assignment = None
-    if unique:
-        assignment = _merged_assignment(
-            network, fixed, reduced_assignment.flows, reduced_assignment.ties
-        )
+    unique, flows, ties = gap_test(reduced, driver.beliefs(total), reduced.n * reduced.c_max)
+    assignment = _merged_assignment(network, fixed, flows, ties) if unique else None
     return UniquenessResult(unique, assignment, total, driver.executed)

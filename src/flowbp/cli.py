@@ -66,14 +66,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_OTHER)
 
 
-def _positive_int(text: str) -> int:
+def _count(text: str, low: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0  # rejected below with the same message
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = low - 1  # rejected below with the same message
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _count(text, 1)
 
 
 def _round_count(text: str):
@@ -282,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_approx)
 
     sp = sub.add_parser("gen", help="generate a random feasible instance")
-    sp.add_argument("--nodes", type=int, required=True)
-    sp.add_argument("--arcs", type=int, required=True)
-    sp.add_argument("--cmax", type=int, default=4)
-    sp.add_argument("--capmax", type=int, default=4)
-    sp.add_argument("--cost-pieces", type=int, default=1,
+    sp.add_argument("--nodes", type=_count, required=True)
+    sp.add_argument("--arcs", type=_count, required=True)
+    sp.add_argument("--cmax", type=_count, default=4)
+    sp.add_argument("--capmax", type=_positive_int, default=4)
+    sp.add_argument("--cost-pieces", type=_positive_int, default=1,
                     help="pieces per convex arc cost (1 = linear)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--ensure-unique", action="store_true",

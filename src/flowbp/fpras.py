@@ -289,9 +289,9 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     driver = _Rounds(reduced)
     oracle = None  # (reference optimum, its certificate) once consulted
     for probe in _PROBES:
-        passed, est = gap_test(reduced, driver.beliefs(probe), threshold)
+        passed, flows, _ = gap_test(reduced, driver.beliefs(probe), threshold)
         if passed:
-            flows = {**fixed, **est.flows}
+            flows = {**fixed, **flows}
             if check_feasible(pn, flows):
                 gap = min_cycle_cost(pn, flows)
                 if gap >= 0:

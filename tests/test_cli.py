@@ -293,6 +293,26 @@ def test_gen_too_few_arcs(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nodes", "-3", "--arcs", "0"], "--nodes: expected an integer >= 0, got '-3'"),
+        (["--nodes", "4", "--arcs", "-1"], "--arcs: expected an integer >= 0, got '-1'"),
+        (["--nodes", "4", "--arcs", "6", "--cmax", "-1"], "--cmax: expected an integer >= 0"),
+        (["--nodes", "4", "--arcs", "6", "--capmax", "0"], "--capmax: expected an integer >= 1"),
+        (["--nodes", "4", "--arcs", "6", "--cost-pieces", "0"],
+         "--cost-pieces: expected an integer >= 1"),
+    ],
+)
+def test_gen_bad_count_is_usage_error(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", *flags, "--seed", "1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_gen_pwl_costs_emit_json(capsys):
     code = cli.main(["gen", "--nodes", "4", "--arcs", "6", "--seed", "4",
                      "--cost-pieces", "3", "--capmax", "4"])
@@ -330,8 +350,8 @@ real_gap_test = bp_engine.gap_test
 
 
 def inverted(*args):
-    unique, out = real_gap_test(*args)
-    return not unique, out
+    unique, flows, ties = real_gap_test(*args)
+    return not unique, flows, ties
 
 
 bp_engine.gap_test = inverted

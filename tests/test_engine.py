@@ -353,10 +353,10 @@ def test_detect_uniqueness_fast_equals_slow():
         total = iteration_bound(reduced, "uniqueness")
         state = literal_tables(reduced, total)[-1]
         beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
-        unique, est = gap_test(reduced, beliefs, reduced.n * reduced.c_max)
+        unique, flows, _ = gap_test(reduced, beliefs, reduced.n * reduced.c_max)
         assert fast.unique == unique
         if unique:
-            assert fast.assignment.flows == {**fixed, **est.flows}
+            assert fast.assignment.flows == {**fixed, **flows}
         assert fast.executed_rounds <= total
 
 
@@ -621,22 +621,90 @@ def test_drift_orbits_equal_literal_tables_at_every_round():
 
 
 def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
-    # K = 54 periods of 6 from round 21: exact through round 345, where a
+    # K = 56 periods of 6 from round 11: exact through round 347, where a
     # slope order changes; the driver steps past it and certifies again
     net = _first_draw_of_slow_approx()
     driver = _Rounds(net)
     driver.beliefs(1024)
-    assert driver._windows[0] == (21, 6, 345)
+    assert driver._windows[0] == (11, 6, 347)
     assert len(driver._windows) >= 3 and driver._windows[-1][2] == POS_INF
-    assert driver.executed < 150
-    lit = literal_tables(net, 1024)[-1]
-    assert same_modulo_constants(driver.state, lit)
+    assert driver.executed <= 75
+    # asked for every round in turn, the driver lands on each phase-0 round
+    # and steps the rest: every table is the literal one up to constants
+    driver, lit = _Rounds(net), init_messages(net)
+    for r in range(1, 1025):
+        lit = update_round(net, lit)
+        driver.beliefs(r)
+        assert same_modulo_constants(driver.state, lit), r
+    assert driver._windows[0] == (11, 6, 347)
+
+
+def test_drift_orbit_whose_one_round_drifts_never_repeat_is_certified():
+    # the first draw of approx_scheme(random_network(2, n=4, m=6,
+    # ensure_multiple=True), 1/2, seed=2): the breakpoints hold from round
+    # 11 on and the drift over 3 rounds repeats, but each one-round drift
+    # moves by a fixed amount every period, so no two of them are equal
+    reduced = preprocess_degree(random_network(2, n=4, m=6, ensure_multiple=True))[0]
+    stream = _seed_seq(_seed_seq(2, (0,)), (0,))
+    net = preprocess_degree(perturb_costs(reduced, Fraction(1, 2), stream).network)[0]
+    tables = literal_tables(net, 200)
+    driver = _Rounds(net)
+    for r in range(1, 201):
+        driver.beliefs(r)
+        assert same_modulo_constants(driver.state, tables[r]), r
+    assert driver._windows[0] == (11, 3, 1163)
+    driver = _Rounds(net)
+    driver.beliefs(4096)
+    assert driver.executed <= 60
+
+
+def test_search_window_never_outgrows_the_rounds_stepped_since_it_started():
+    restarts = 0
+
+    class Watched(_Rounds):
+        def _search(self):
+            super()._search()
+            stepped = self.state.round - self._origin
+            assert len(self._tables) <= min(stepped, bp_engine._WINDOW), name
+
+    for name, net, rounds in _drift_cases():
+        driver = Watched(net)
+        for r in range(1, rounds + 1):
+            driver.beliefs(r)
+        restarts += len(driver._windows) - 1
+    assert restarts >= 1  # the slow draw leaves its first drift orbit at round 347
+
+    class Blind(Watched):  # certifies nothing, so the window fills up
+        def _uniform(self, old):
+            return False
+
+        def _drifting(self, q):
+            return False
+
+    name = "blind"
+    driver = Blind(_first_draw_of_slow_approx())
+    driver.beliefs(3 * bp_engine._WINDOW)
+    assert driver.orbit is None and len(driver._tables) > bp_engine._WINDOW // 2
+
+
+# rounds executed on random_network(seed, n=20, m=40), seeds 0..7, by the
+# earlier search (a lone checkpoint, a forward candidate and a drift clock):
+# the window search must not execute more on any seed
+_N20_RUN_ROUNDS = (24, 25, 26, 32, 29, 60, 13, 31)
+_N20_UNIQUENESS_ROUNDS = (24, 25, 26, 32, 29, 60, 13, 29)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_n20_long_runs_execute_no_more_rounds_than_the_earlier_search(seed):
+    net = random_network(seed, n=20, m=40)
+    assert run(net).executed_rounds <= _N20_RUN_ROUNDS[seed]
+    assert detect_uniqueness(net).executed_rounds <= _N20_UNIQUENESS_ROUNDS[seed]
 
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_unique_n20_instances_run_in_under_100_rounds(monkeypatch, capsys, tmp_path, seed):
     # no uniform orbit: a drift orbit with no end is certified by round
-    # ~60, and both reports equal the literal run's apart from
+    # ~44, and both reports equal the literal run's apart from
     # executed_rounds and wall_time_s
     path = tmp_path / "net.json"
     path.write_text(json.dumps(network_to_json_dict(random_network(seed, n=20, m=40))))

@@ -336,9 +336,9 @@ def _literal_decide(pn):
     for t in (1 << k for k in range(3, PROBE_CAP.bit_length())):
         state = literal_tables(reduced, t)[-1]
         beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
-        cand_unique, est = gap_test(reduced, beliefs, threshold)
+        cand_unique, flows, _ = gap_test(reduced, beliefs, threshold)
         if cand_unique:
-            flows = {**fixed, **est.flows}
+            flows = {**fixed, **flows}
             if check_feasible(pn, flows):
                 gap = min_cycle_cost(pn, flows)
                 if gap > 0:
