@@ -13,21 +13,29 @@ A node's outgoing messages come from one per-node kernel,
 network.  Its incoming messages are signed by the arc orientation without
 building reflected copies; each is split once, at one tilt, and all their
 pieces are sorted once; every arc's message takes one pass from that
-sorted list, skipping the arc's own pieces, laid out in the arc's flow
-coordinate only across its cost's domain, merged with the cost and
-carrying its values.  A node of degree ``d`` with ``P`` incoming pieces
-costs ``d`` splits, one sort, ``d`` passes of at most ``O(P)`` work each,
-and one result object per message, instead of a chain of about ``3 * d``
-pairwise convolutions.  The tables are identical to the
-pairwise ones, because ``PwlConvex`` is canonical.  Every round-0 message
-is the zero function, so round 1 is each message's arc cost: the round
-driver starts from that table and executes rounds from 2 on.
+sorted pair of lists (read swapped and negated where the arc's
+re-parametrization reflects, again without a copy), skipping the arc's
+own pieces, laid out in the arc's flow coordinate only across its cost's
+domain, merged with the cost and carrying its values.  A node of degree
+``d`` with ``P`` incoming pieces costs ``d`` splits, one sort, ``d``
+passes of at most ``O(P)`` work each, and one result object per message,
+instead of a chain of about ``3 * d`` pairwise convolutions.  The tables
+are identical to the pairwise ones, because ``PwlConvex`` is canonical.
+Every round-0 message is the zero function, so round 1 is each message's
+arc cost: the round driver starts from that table and executes rounds
+from 2 on.
 
 The per-arc belief combines the two directed messages and subtracts the arc
 cost once (each directed message already includes it); its minimizer is the
 flow estimate.  On integral instances with a unique optimum the estimate is
 exactly optimal once the round count reaches the convergence bound, and a
-strict gap in the final beliefs detects uniqueness itself.
+strict gap in the final beliefs detects uniqueness itself.  Breakpoints
+are integers, so the estimate, the ties and the gap test read only the
+smallest minimizer and the slopes either side of it: :func:`_read_off`
+takes them straight off each arc's two messages with one merge that
+stops at the minimizer (:func:`~flowbp.pwl.argmin_shared`), and no belief
+is built.  :func:`belief` builds the function itself for callers that
+want it.
 
 Everything the estimate and the gap test depend on is read from the
 message *shapes* (messages modulo one additive constant each), because one
@@ -36,8 +44,8 @@ constants.  One round driver steps every solve, gap test and probe.  It
 searches the tables it has stepped for orbits of the shapes: breakpoints
 that repeat with a period while each piece's slope moves by a fixed
 integer per period, certified from the tables alone for as many periods
-as the slope order at every node holds.  It answers "beliefs at round N"
-by building the table of the orbit's last whole period before N and
+as the slope order at every node holds.  It answers "the table at round
+N" by building the table of the orbit's last whole period before N and
 stepping the rest, with identical results, unless a per-round hook must
 see every table.
 """
@@ -60,9 +68,10 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, Extended, PwlConvex, add_shared, node_messages
+from .pwl import POS_INF, Extended, PwlConvex, add_shared, argmin_shared, node_messages
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
+ReadOff = tuple[Extended, Extended, Extended]  # belief minimizer, slopes left and right of it
 
 
 @dataclass
@@ -149,7 +158,9 @@ def belief(network: FlowNetwork, state: MessageState, arc_id: int) -> PwlConvex:
 
     Both directed messages of the arc include the arc's own cost, so the
     belief is their sum minus that cost, on the arc's flow domain: one
-    trusted merge (:func:`~flowbp.pwl.add_shared`).
+    trusted merge (:func:`~flowbp.pwl.add_shared`).  The engine itself
+    builds no belief; it reads what it needs off the messages
+    (:func:`_read_off`).
     """
     a = network.arc_by_id[arc_id]
     return add_shared(state.messages[(arc_id, a.tail)], state.messages[(arc_id, a.head)], a.cost)
@@ -163,24 +174,30 @@ def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:
     cannot have a unique optimum if this persists) are recorded in
     ``ties``.
     """
-    flows, ties = _minimizers(network, {a.id: belief(network, state, a.id) for a in network.arcs})
+    flows, ties = _minimizers(_read_off(network, state))
     out = make_assignment(network, flows)
     out.ties = ties
     return out
 
 
-def _minimizers(
-    network: FlowNetwork, beliefs: dict[int, PwlConvex]
-) -> tuple[dict[int, int], tuple[int, ...]]:
+def _read_off(network: FlowNetwork, state: MessageState) -> dict[int, ReadOff]:
+    """Per arc, the smallest minimizer of its belief and the belief's
+    slopes left and right of it (:func:`~flowbp.pwl.argmin_shared`), read
+    straight off the arc's two messages: no belief is built."""
+    messages = state.messages
+    return {
+        a.id: argmin_shared(messages[(a.id, a.tail)], messages[(a.id, a.head)], a.cost)
+        for a in network.arcs
+    }
+
+
+def _minimizers(read: dict[int, ReadOff]) -> tuple[dict[int, int], tuple[int, ...]]:
     """Smallest belief minimizer per arc, and the arcs whose belief is
     flat at it (``b(z + 1) == b(z)``): breakpoints are integers, so the
     piece right of an integer minimizer spans the next unit, and the
-    belief is flat there exactly when that piece's slope is 0."""
-    flows = {a.id: beliefs[a.id].argmin() for a in network.arcs}
-    ties = tuple(
-        aid for aid, z in flows.items()
-        if z < beliefs[aid].breakpoints[-1] and beliefs[aid].right_derivative(z) == 0
-    )
+    belief is flat there exactly when its right slope is 0."""
+    flows = {aid: z for aid, (z, _, _) in read.items()}
+    ties = tuple(aid for aid, (_, _, right) in read.items() if right == 0)
     return flows, ties
 
 
@@ -259,19 +276,19 @@ def run(
     driver = _Rounds(reduced, on_round)
     last = total
     if patience is None:
-        beliefs = driver.beliefs(total)
+        read = _read_off(reduced, driver.advance(total))
     else:
         last_flows, streak = None, 0
         for last in range(1, total + 1):
-            beliefs = driver.beliefs(last)
-            flows = {aid: b.argmin() for aid, b in beliefs.items()}
+            read = _read_off(reduced, driver.advance(last))
+            flows = [z for z, _, _ in read.values()]
             if flows == last_flows:
                 streak += 1
                 if streak >= patience:
                     break
             else:
                 last_flows, streak = flows, 0
-    assignment = _merged_assignment(network, fixed, *_minimizers(reduced, beliefs))
+    assignment = _merged_assignment(network, fixed, *_minimizers(read))
     piece_totals = [driver.piece_total(r) for r in range(1, last + 1)]
     return RunResult(assignment, driver.state, total, driver.executed, piece_totals)
 
@@ -464,11 +481,14 @@ class _Rounds:
       breakpoints and those orders, and its slopes are input slopes plus
       arc-cost slopes: the tables stay exact through the certified end.
 
-    :meth:`beliefs` lands on the orbit's last round a whole number of
+    :meth:`advance` lands on the orbit's last round a whole number of
     periods from its start at or before the target (a table built by
     moving each slope along its drift), steps the rest, and never steps
     past its target.  Past a drift orbit's end the rounds are stepped and
-    searched again.  ``executed`` counts the stepped rounds.
+    searched again.  ``executed`` counts the stepped rounds.  It returns
+    the table; the solve, the gap test and the probes read each arc's
+    minimizer and gap slopes off it (:func:`_read_off`), with no belief
+    built.
     """
 
     def __init__(self, reduced: FlowNetwork, on_round=None):
@@ -585,10 +605,10 @@ class _Rounds:
         if self.orbit is None:
             self._search_from(self.state)
 
-    def beliefs(self, target: int) -> dict[int, PwlConvex]:
-        """Round-``target`` beliefs, each exact up to an additive constant
-        (``target`` must not decrease between calls): callers read only
-        belief differences (minimizers, gap comparisons)."""
+    def advance(self, target: int) -> MessageState:
+        """The round-``target`` table, exact up to one additive constant
+        per message (``target`` must not decrease between calls): callers
+        read only slopes (:func:`_read_off`)."""
         while self.state.round < target:
             if self.orbit is not None:
                 self._land(target)
@@ -597,12 +617,7 @@ class _Rounds:
         if self.orbit is not None and self.orbit.uniform:
             # the same tilt in every phase: any table starts the orbit
             self.orbit = self.orbit._replace(start=self.state)
-        # belief() of every arc: its two messages are consecutive in the table
-        table = iter(self.state.messages.values())
-        return {
-            a.id: add_shared(tail, head, a.cost)
-            for a, tail, head in zip(self.network.arcs, table, table)
-        }
+        return self.state
 
     def piece_total(self, r: int) -> int:
         """Total message pieces at round ``r`` (at most the current round):
@@ -617,23 +632,23 @@ class _Rounds:
 
 
 def gap_test(
-    reduced: FlowNetwork, beliefs: dict[int, PwlConvex], threshold: int
+    reduced: FlowNetwork, state: MessageState, threshold: int
 ) -> tuple[bool, dict[int, int], tuple[int, ...]]:
-    """The strict final-belief gap test, with the estimate's flows and ties
-    (:func:`_minimizers`).
+    """The strict final-belief gap test on the table ``state``, read off
+    each arc's two messages (:func:`_read_off`), with the estimate's flows
+    and ties (:func:`_minimizers`).
 
     Uniqueness holds iff for every arc the belief one unit away from its
     smallest minimizer exceeds the minimizer's belief by strictly more than
     ``threshold`` (out-of-domain neighbors are infinitely worse and pass
-    vacuously).  Only belief differences are read, so beliefs known up to
-    additive constants are fine.
+    vacuously).  Breakpoints are integers, so those two differences are
+    the belief's slopes either side of the minimizer, ``-left`` and
+    ``right`` (``+inf`` past the domain); only slopes are read, so tables
+    known up to additive constants are fine.
     """
-    flows, ties = _minimizers(reduced, beliefs)
-    unique = all(
-        min(beliefs[aid].evaluate(z - 1), beliefs[aid].evaluate(z + 1))
-        > threshold + beliefs[aid].evaluate(z)
-        for aid, z in flows.items()
-    )
+    read = _read_off(reduced, state)
+    flows, ties = _minimizers(read)
+    unique = all(min(-left, right) > threshold for _, left, right in read.values())
     return unique, flows, ties
 
 
@@ -661,6 +676,6 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
     driver = _Rounds(reduced)
-    unique, flows, ties = gap_test(reduced, driver.beliefs(total), reduced.n * reduced.c_max)
+    unique, flows, ties = gap_test(reduced, driver.advance(total), reduced.n * reduced.c_max)
     assignment = _merged_assignment(network, fixed, flows, ties) if unique else None
     return UniquenessResult(unique, assignment, total, driver.executed)

@@ -464,7 +464,16 @@ def preprocess_degree(network: FlowNetwork) -> tuple[FlowNetwork, dict[int, int]
     Returns the reduced network and the map of forced arc flows.  Raises
     :class:`ForcedInfeasibleError` when a forced flow violates its bounds
     or an isolated node keeps nonzero demand.
+
+    A network with no node of degree below 2 whose arcs are in id order
+    is its own reduction, the one the rebuild would index, and is
+    returned as it is.
     """
+    arcs = network.arcs
+    if all(len(inc) > 1 for inc in network.incident.values()) and all(
+        a.id < b.id for a, b in zip(arcs, arcs[1:])
+    ):
+        return network, {}
     demands = dict(network.demands)
     alive: dict[int, Arc] = dict(network.arc_by_id)
     incident: dict[int, set[int]] = {v: set() for v in demands}

@@ -289,7 +289,7 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     driver = _Rounds(reduced)
     oracle = None  # (reference optimum, its certificate) once consulted
     for probe in _PROBES:
-        passed, flows, _ = gap_test(reduced, driver.beliefs(probe), threshold)
+        passed, flows, _ = gap_test(reduced, driver.advance(probe), threshold)
         if passed:
             flows = {**fixed, **flows}
             if check_feasible(pn, flows):

@@ -18,21 +18,25 @@ One kernel serves the message-passing engine.  :func:`node_messages`
 computes all of a node's outgoing messages: for every operand, the
 convolution of all the others (each reflected by its sign), re-parametrized
 by an affine map and added to a cost.  It picks one tilt in the slope
-range all operands share and splits each operand there once, straight
-from its stored breakpoints, slopes and values (a reflected operand where
-the unreflected one splits at the negated tilt), then sorts all tagged
-pieces once.  Each output then takes one pass from those pieces to its
-result object: laid out in its arc's flow coordinate (reflected when
-``a = -1``, shifted by ``b``), skipping its own operand's pieces, clipped
-to the cost's domain, merged with the cost's slopes, and carrying the
-value at every breakpoint, so the result is built without settling.  A
-node of degree ``d`` costs ``d`` splits, one sort and ``d`` passes.
-:func:`leave_one_out` and :func:`inf_convolve2` run the same split, sort
-and pass with the zero function on R as the cost, and
+range all operands share, read off their stored end slopes, and splits
+each operand there once, straight from its stored breakpoints, slopes and
+values (a reflected operand where the unreflected one splits at the
+negated tilt), then sorts all tagged pieces once into one pair of lists.
+Each output then takes one pass from that pair to its result object:
+laid out in its arc's flow coordinate (shifted by ``b``; when ``a = -1``
+the pair is read swapped, each slope negated as it is read, so no
+reflected copy of the pieces is built), skipping its own operand's
+pieces, clipped to the cost's domain, merged with the cost's slopes, and
+carrying the value at every breakpoint, so the result is built without
+settling.  A node of degree ``d`` costs ``d`` splits, one sort and ``d``
+passes.  :func:`leave_one_out` and :func:`inf_convolve2` run the same
+split, sort and pass with the zero function on R as the cost, and
 :func:`add_composed` the same pass over one split operand.  All give
 exactly what the pairwise operations give.  :func:`add_shared` sums two
 functions that share a summand, as an arc's belief sums its two messages,
-in one merge.
+in one merge; :func:`argmin_shared` runs that merge only as far as the
+sum's smallest minimizer and returns it with the slopes either side,
+which is all the engine reads of a belief.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .errors import (
@@ -428,7 +433,7 @@ def _add_composed(f: PwlConvex, h: PwlConvex, a: int, b: int) -> PwlConvex:
     # x -> h(a*x) split at a tilt in its slope range; f(z) + h(a*z + b) is
     # f(z) plus that function at z + a*b
     p, v = _split(h, a, a * _clamp0(*h._slope_bounds()), 0, left, right)
-    return _finish(p - a * b, v, left, right, -1, f)
+    return _finish(p - a * b, v, left, right, -1, f, 1)
 
 
 def add_shared(f: PwlConvex, g: PwlConvex, h: PwlConvex) -> PwlConvex:
@@ -487,6 +492,57 @@ def add_shared(f: PwlConvex, g: PwlConvex, h: PwlConvex) -> PwlConvex:
     return PwlConvex._trusted(bks, sls, (x, vals[base]), vals)
 
 
+def argmin_shared(f: PwlConvex, g: PwlConvex, h: PwlConvex) -> tuple[Extended, Extended, Extended]:
+    """The smallest minimizer ``z`` of ``b = add_shared(f, g, h)`` and the
+    slopes of ``b`` left and right of it, without building ``b``.
+
+    Returns ``(b.argmin(), left, right)``.  Breakpoints are integers, so
+    for a finite ``z`` the two slopes are ``b(z - 1) - b(z)`` negated and
+    ``b(z + 1) - b(z)``; a side past the domain's end reads ``-inf`` on
+    the left and ``+inf`` on the right.  ``right`` is 0 exactly when
+    ``b`` is flat right of ``z`` (a tie).  The merge of
+    :func:`add_shared` runs only as far as ``z``, and no value is
+    computed.  Raises what :func:`add_shared` followed by
+    :meth:`PwlConvex.argmin` raises: :class:`EmptyDomainError`,
+    :class:`UnboundedError`, and :class:`NonConvexError` for a slope that
+    fails to rise on the way to ``z`` (past ``z`` the slopes are not
+    read).
+    """
+    fb, fs, gb, gs, hb, hs = f.breakpoints, f.slopes, g.breakpoints, g.slopes, h.breakpoints, h.slopes
+    lo = fb[0] if fb[0] > gb[0] else gb[0]
+    hi = fb[-1] if fb[-1] < gb[-1] else gb[-1]
+    if lo > hi:
+        raise EmptyDomainError("domains do not intersect")
+    if lo < hb[0] or hi > hb[-1]:
+        raise EmptyDomainError("subtrahend is not finite on the sum's domain")
+    if lo == hi:
+        return lo, NEG_INF, POS_INF
+    i, j, k = bisect_right(fb, lo), bisect_right(gb, lo), bisect_right(hb, lo)
+    x, left = lo, NEG_INF
+    while True:
+        s = fs[i - 1] + gs[j - 1] - hs[k - 1]
+        if s <= left:
+            raise NonConvexError("the summand is not shared: slopes do not rise")
+        if s >= 0 and x != NEG_INF:
+            return x, left, s
+        if s > 0:
+            raise UnboundedError("function decreases toward an infinite domain end")
+        # the piece from x falls, or is flat from -inf (its finite right
+        # end is the representative minimizer)
+        y = min(fb[i], gb[j], hb[k])
+        if y >= hi:
+            if s < 0 and hi == POS_INF:
+                raise UnboundedError("function decreases toward an infinite domain end")
+            return hi, s, POS_INF
+        x, left = y, s
+        if fb[i] == y:
+            i += 1
+        if gb[j] == y:
+            j += 1
+        if hb[k] == y:
+            k += 1
+
+
 def _clamp0(s_lo: Extended, s_hi: Extended) -> int:
     """The tilt a convolution is stitched at: the point of the (non-empty)
     slope range ``[s_lo, s_hi]`` nearest 0."""
@@ -534,12 +590,16 @@ def _split(f: PwlConvex, sign: int, s: int, j: int, left: list, right: list):
     return sign * bks[i], f._values[i]
 
 
-def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex:
-    """``phi + L`` where ``L``, in ``phi``'s own coordinate, is the
-    convolution whose tilted minimizer is ``z`` with value ``v``: its
-    ``(slope, length, operand)`` pieces left of ``z`` are ``left`` in
-    slope-descending order and those right of it ``right`` in ascending
-    order, leaving out the pieces of operand ``skip``.
+def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex, a: int) -> PwlConvex:
+    """``phi + L``, where ``L`` is the convolution read in ``phi``'s own
+    coordinate, with its tilted minimizer at ``z`` and value ``v`` there.
+    The convolution's ``(slope, length, operand)`` pieces left of its split
+    point are ``left`` in slope-descending order and those right of it
+    ``right`` in ascending order; the pieces of operand ``skip`` are left
+    out.  With ``a = 1`` they are read as they stand.  With ``a = -1`` they
+    are read reflected: ``right`` lies left of ``z`` and ``left`` right of
+    it, and each slope is negated as it is read, so no reflected copy is
+    built.
 
     One pass from the pieces to the result.  When ``z`` lies outside
     ``phi``'s domain, the pieces toward the domain are walked to its end,
@@ -554,15 +614,19 @@ def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex
     """
     pb, ps = phi.breakpoints, phi.slopes
     lo, hi = pb[0], pb[-1]
-    if z < lo:  # walk right to the domain's lower end
-        for n, (s, length, o) in enumerate(right):
+    if a == -1:
+        left, right = right, left
+    if z < lo:  # walk right to the domain's lower end; the pass goes on
+        # from there over the same iterator, the cut piece's rest first
+        rest = iter(right)
+        for r, length, o in rest:
             if o == skip:
                 continue
+            s = -r if a == -1 else r
             end = POS_INF if length == POS_INF else z + length
             if end >= lo:
                 v += s * (lo - z)
-                rest = right[n + 1 :]
-                right = rest if end == lo else [(s, POS_INF if end == POS_INF else end - lo, o), *rest]
+                right = rest if end == lo else chain(((r, POS_INF if end == POS_INF else end - lo, o),), rest)
                 break
             v += s * length
             z = end
@@ -570,14 +634,15 @@ def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex
             raise EmptyDomainError("domains do not intersect")
         z = lo
     elif z > hi:  # walk left to the domain's upper end
-        for n, (s, length, o) in enumerate(left):
+        rest = iter(left)
+        for r, length, o in rest:
             if o == skip:
                 continue
+            s = -r if a == -1 else r
             end = NEG_INF if length == POS_INF else z - length
             if end <= hi:
                 v -= s * (z - hi)
-                rest = left[n + 1 :]
-                left = rest if end == hi else [(s, POS_INF if end == NEG_INF else hi - end, o), *rest]
+                left = rest if end == hi else chain(((r, POS_INF if end == NEG_INF else hi - end, o),), rest)
                 break
             v -= s * length
             z = end
@@ -603,6 +668,8 @@ def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex
         for s, length, o in left:
             if o == skip:
                 continue
+            if a == -1:
+                s = -s
             end = NEG_INF if length == POS_INF else x - length
             while True:
                 px = pb[k]
@@ -634,6 +701,8 @@ def _finish(z: int, v: int, left, right, skip: int, phi: PwlConvex) -> PwlConvex
         for s, length, o in right:
             if o == skip:
                 continue
+            if a == -1:
+                s = -s
             end = POS_INF if length == POS_INF else x + length
             while True:
                 px = pb[k]
@@ -672,28 +741,42 @@ def _convolve(fs, signs, skips, finishes) -> list[PwlConvex]:
     ``(phi, a, b) = finishes[i]``.
 
     Every output is stitched at one tilt: the point nearest 0 of the slope
-    range all operands share, which lies in every output's own range (the
-    results are canonical, so the tilt does not change them).  Each
-    operand is split at it once and the tagged pieces are sorted once;
-    output ``i`` is split at the sum of the split points and values minus
-    its own operand's, and :func:`_finish` lays it out in its own
-    coordinate ``z``.  There the split point is ``t - b`` (``a = 1``) or
-    ``b - t``, and the pieces are reflected: both sides swapped and
-    negated, once for all outputs.
+    range all operands share (read off their stored end slopes), which
+    lies in every output's own range (the results are canonical, so the
+    tilt does not change them).  Each operand is split at it once and the
+    tagged pieces are sorted once; output ``i`` is split at the sum of the
+    split points and values minus its own operand's, and :func:`_finish`
+    lays it out in its own coordinate ``z``.  There the split point is
+    ``t - b`` (``a = 1``) or ``b - t``, and with ``a = -1`` :func:`_finish`
+    reads the one sorted pair of piece lists reflected, so every output is
+    laid out from the same two lists.
 
     Raises :class:`UnboundedError` when the operands' slope ranges are
     disjoint.  With three or more operands some ``L_i`` is then ``-inf``
     everywhere, as it is for ``skips = (-1,)``.
     """
+    # the shared slope range: an end that reaches an infinite domain end
+    # bounds it by its slope, negated (and on the other side) when reflected
     s_lo, s_hi = NEG_INF, POS_INF
     for f, sign in zip(fs, signs):
-        lo, hi = f._slope_bounds()
-        if sign == -1:
-            lo, hi = -hi, -lo
-        if lo > s_lo:
-            s_lo = lo
-        if hi < s_hi:
-            s_hi = hi
+        sls = f.slopes
+        if not sls:
+            continue
+        bks = f.breakpoints
+        if bks[0] == NEG_INF:
+            x = sls[0]
+            if sign == 1:
+                if x > s_lo:
+                    s_lo = x
+            elif -x < s_hi:
+                s_hi = -x
+        if bks[-1] == POS_INF:
+            x = sls[-1]
+            if sign == 1:
+                if x < s_hi:
+                    s_hi = x
+            elif -x > s_lo:
+                s_lo = -x
     if s_lo > s_hi:
         raise UnboundedError("infimal convolution is -inf everywhere")
     s = _clamp0(s_lo, s_hi)
@@ -708,17 +791,11 @@ def _convolve(fs, signs, skips, finishes) -> list[PwlConvex]:
         splits.append((p, v))
     left.sort(key=_slope, reverse=True)
     right.sort(key=_slope)
-    reflected = None
     out = []
     for i in skips:
         t, v = (t0, v0) if i < 0 else (t0 - splits[i][0], v0 - splits[i][1])
         phi, a, b = _UNFINISHED if finishes is None else finishes[i]
-        if a == 1:
-            out.append(_finish(t - b, v, left, right, i, phi))
-            continue
-        if reflected is None:
-            reflected = [(-sl, ln, o) for sl, ln, o in right], [(-sl, ln, o) for sl, ln, o in left]
-        out.append(_finish(b - t, v, *reflected, i, phi))
+        out.append(_finish(t - b if a == 1 else b - t, v, left, right, i, phi, a))
     return out
 
 
@@ -770,16 +847,17 @@ def node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes)
     ``j != i``: exactly ``add_composed(phi, leave_one_out(reflected)[i],
     a, b)``, with ``reflected[j] = incoming[j].compose_affine(signs[j], 0)``.
 
-    No reflected copy is built: an operand with sign ``-1`` is split
+    No reflected copy is built.  An operand with sign ``-1`` is split
     where it splits at the negated tilt.  Each operand is split once, from
-    its stored data, and the tagged pieces are sorted once, as in
-    :func:`leave_one_out`.  Output ``i`` then takes one pass from those
-    pieces to the one result object it makes: laid out in ``z``, the
-    arc's flow coordinate, only across ``phi``'s domain, merged with
-    ``phi``'s slopes, with the value at every breakpoint carried along and
-    handed to :meth:`PwlConvex._trusted`.  Two operands need no
-    convolution: the sign folds into :func:`add_composed`'s map, which
-    runs the same pass.
+    its stored data, and the tagged pieces are sorted once into one pair
+    of lists, as in :func:`leave_one_out`.  Output ``i`` then takes one
+    pass from that pair to the one result object it makes: laid out in
+    ``z``, the arc's flow coordinate (with ``a = -1`` the pair is read
+    swapped and each slope negated as it is read), only across ``phi``'s
+    domain, merged with ``phi``'s slopes, with the value at every
+    breakpoint carried along and handed to :meth:`PwlConvex._trusted`.
+    Two operands need no convolution: the sign folds into
+    :func:`add_composed`'s map, which runs the same pass.
 
     Raises :class:`ValueError` for fewer than two operands or a finish
     whose map is not ``a*z + b`` with ``a`` in ``{+1, -1}`` and an integer

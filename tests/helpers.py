@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from flowbp.bp_engine import MessageState, init_messages, update_round
+from flowbp.bp_engine import MessageState, belief, init_messages, update_round
 from flowbp.errors import EmptyDomainError
 from flowbp.flowmodel import FlowAssignment, FlowNetwork, make_assignment, preprocess_degree
 from flowbp.fpras import _seed_seq, perturb_costs
@@ -61,6 +61,22 @@ def literal_tables(network: FlowNetwork, rounds: int) -> list[MessageState]:
     for _ in range(rounds):
         tables.append(update_round(network, tables[-1]))
     return tables
+
+
+def literal_gap_test(network: FlowNetwork, state: MessageState, threshold: int):
+    """The belief gap test read literally off each arc's ``belief``
+    object: its ``argmin``, a tie where the belief does not rise one unit
+    right of it, and a pass where both neighbours are dearer by more than
+    ``threshold``.  Returns ``(unique, flows, ties)`` as
+    ``bp_engine.gap_test`` does."""
+    beliefs = {a.id: belief(network, state, a.id) for a in network.arcs}
+    flows = {aid: b.argmin() for aid, b in beliefs.items()}
+    ties = tuple(aid for aid, z in flows.items() if beliefs[aid].evaluate(z + 1) == beliefs[aid].evaluate(z))
+    unique = all(
+        min(beliefs[aid].evaluate(z - 1), beliefs[aid].evaluate(z + 1)) > threshold + beliefs[aid].evaluate(z)
+        for aid, z in flows.items()
+    )
+    return unique, flows, ties
 
 
 def same_modulo_constants(a, b) -> bool:

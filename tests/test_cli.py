@@ -9,6 +9,7 @@ import pytest
 
 from flowbp import cli, pwl, selftest
 from flowbp.flowmodel import network_to_json_dict, parse_dimacs
+from flowbp.gen import random_network
 from flowbp.oracles import exact_solve, is_unique_optimum
 from helpers import HANG_NETWORK, t1_network, uncapacitated_network
 
@@ -190,6 +191,30 @@ def test_solve_dump_messages(capsys, tmp_path, t1_file):
     assert len(lines[0]["messages"]) == 6
     fn = lines[0]["messages"][0]["fn"]
     assert set(fn) == {"breakpoints", "slopes", "anchor"}
+
+
+@pytest.mark.parametrize("net", [random_network(11, n=6, m=14), random_network(12, n=7, m=9)])
+def test_reports_do_not_depend_on_the_order_arcs_are_listed_in(capsys, tmp_path, net):
+    # in id order with every degree >= 2, preprocessing keeps the parsed
+    # network; listed in another order, or with forced arcs, it rebuilds
+    # one in id order: reports and message dumps are the same either way
+    d = network_to_json_dict(net)
+    in_order = tmp_path / "in_order.json"
+    in_order.write_text(json.dumps(d))
+    d["arcs"] = d["arcs"][::-1]
+    reversed_ = tmp_path / "reversed.json"
+    reversed_.write_text(json.dumps(d))
+    for argv in (["solve", "--iters", "auto"], ["solve", "--iters", "4", "--patience", "2"],
+                 ["check-unique"], ["approx", "--epsilon", "1/2", "--seed", "5"]):
+        outs = []
+        for path in (in_order, reversed_):
+            dump = tmp_path / f"{path.stem}.jsonl"
+            extra = ["--dump-messages", str(dump)] if argv[0] == "solve" else []
+            code, report = run_cli(capsys, *argv, *extra, "--input", str(path))
+            assert code == 0, (argv, report)
+            report.pop("wall_time_s")
+            outs.append((report, dump.read_text() if extra else None))
+        assert outs[0] == outs[1], argv
 
 
 def test_check_unique(capsys, t1_file):

@@ -37,6 +37,7 @@ from helpers import (
     HEAVY_APPROX_CALLS,
     approx_batch_draw,
     leave_one_out_tilts,
+    literal_gap_test,
     literal_tables,
     pointwise_diff,
     same_modulo_constants,
@@ -171,7 +172,7 @@ def test_driver_round_one_is_update_round_from_zero():
     nets += [preprocess_degree(net)[0] for _, net in _run_cases()]
     for net in nets:
         seen = []
-        _Rounds(net, on_round=lambda _, state: seen.append(state)).beliefs(1)
+        _Rounds(net, on_round=lambda _, state: seen.append(state)).advance(1)
         (first,) = seen
         want = update_round(net, init_messages(net))
         assert first.round == want.round == 1
@@ -352,8 +353,7 @@ def test_detect_uniqueness_fast_equals_slow():
         reduced, fixed = preprocess_degree(net)
         total = iteration_bound(reduced, "uniqueness")
         state = literal_tables(reduced, total)[-1]
-        beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
-        unique, flows, _ = gap_test(reduced, beliefs, reduced.n * reduced.c_max)
+        unique, flows, _ = literal_gap_test(reduced, state, reduced.n * reduced.c_max)
         assert fast.unique == unique
         if unique:
             assert fast.assignment.flows == {**fixed, **flows}
@@ -369,7 +369,8 @@ def test_detect_uniqueness_empty_after_preprocessing():
 
 def test_fast_beliefs_match_literal_run():
     # the periodic-orbit shortcut must reproduce round-N beliefs exactly
-    # up to one additive constant per arc
+    # up to one additive constant per arc, and the gap test read off the
+    # messages must equal the one read off the literal beliefs
     for net, target in [
         (t1_network(), 30),
         (t1_network(c3=2), 25),
@@ -377,11 +378,13 @@ def test_fast_beliefs_match_literal_run():
         (random_network(4, n=4, m=6, c_max=3, cap_max=2), 35),
     ]:
         driver = _Rounds(net)
-        fast = driver.beliefs(target)
+        fast = driver.advance(target)
         assert driver.executed < target
         lit = literal_tables(net, target)[-1]
         for a in net.arcs:
-            assert same_modulo_constants(fast[a.id], belief(net, lit, a.id))
+            assert same_modulo_constants(belief(net, fast, a.id), belief(net, lit, a.id))
+        for threshold in (0, 1, net.n * net.c_max):
+            assert gap_test(net, fast, threshold) == literal_gap_test(net, lit, threshold)
 
 
 def test_beliefs_match_computation_tree():
@@ -501,14 +504,14 @@ def test_one_driver_answers_increasing_targets_like_fresh_drivers():
         reduced, _ = preprocess_degree(net)
         driver = _Rounds(reduced)
         for t in targets:
-            shared = driver.beliefs(t)
-            fresh = _Rounds(reduced).beliefs(t)
-            for aid, b in fresh.items():
-                assert same_modulo_constants(shared[aid], b)
+            shared = driver.advance(t)
+            fresh = _Rounds(reduced).advance(t)
+            assert same_modulo_constants(shared, fresh)
+            assert gap_test(reduced, shared, 0) == gap_test(reduced, fresh, 0)
             assert driver.executed <= t
         orbits += driver.orbit is not None
         lit = _Rounds(reduced, on_round=lambda *_: None)
-        lit.beliefs(120)
+        lit.advance(120)
         for r in range(1, 121):
             assert driver.piece_total(r) == lit.piece_total(r), (name, r)
     assert orbits >= 5  # tied and hard instances reach an orbit early
@@ -601,19 +604,18 @@ def _drift_cases():
 def test_drift_orbits_equal_literal_tables_at_every_round():
     # asked for every round in turn, the driver lands on each phase-0 round
     # of every certified window and steps the rest: each table must be the
-    # literal one up to one constant per message, and beliefs, gap tests
-    # and piece totals must agree exactly
+    # literal one up to one constant per message, and the gap test read off
+    # its messages must equal the one read off the literal beliefs, as must
+    # the piece totals
     for name, net, rounds in _drift_cases():
         tables = literal_tables(net, rounds)
         driver = _Rounds(net)
         threshold = net.n * net.c_max
         for r in range(1, rounds + 1):
-            fast = driver.beliefs(r)
+            fast = driver.advance(r)
             lit = tables[r]
-            assert same_modulo_constants(driver.state, lit), (name, r)
-            slow = {a.id: belief(net, lit, a.id) for a in net.arcs}
-            assert all(same_modulo_constants(fast[aid], b) for aid, b in slow.items()), (name, r)
-            assert gap_test(net, fast, threshold) == gap_test(net, slow, threshold), (name, r)
+            assert same_modulo_constants(fast, lit), (name, r)
+            assert gap_test(net, fast, threshold) == literal_gap_test(net, lit, threshold), (name, r)
             assert driver.piece_total(r) == sum(m.piece_count for m in lit.messages.values())
         # each ends on a drift orbit: none reaches a uniform one
         assert driver.orbit is not None and not driver.orbit.uniform, name
@@ -625,7 +627,7 @@ def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
     # slope order changes; the driver steps past it and certifies again
     net = _first_draw_of_slow_approx()
     driver = _Rounds(net)
-    driver.beliefs(1024)
+    driver.advance(1024)
     assert driver._windows[0] == (11, 6, 347)
     assert len(driver._windows) >= 3 and driver._windows[-1][2] == POS_INF
     assert driver.executed <= 75
@@ -634,7 +636,7 @@ def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
     driver, lit = _Rounds(net), init_messages(net)
     for r in range(1, 1025):
         lit = update_round(net, lit)
-        driver.beliefs(r)
+        driver.advance(r)
         assert same_modulo_constants(driver.state, lit), r
     assert driver._windows[0] == (11, 6, 347)
 
@@ -650,11 +652,11 @@ def test_drift_orbit_whose_one_round_drifts_never_repeat_is_certified():
     tables = literal_tables(net, 200)
     driver = _Rounds(net)
     for r in range(1, 201):
-        driver.beliefs(r)
+        driver.advance(r)
         assert same_modulo_constants(driver.state, tables[r]), r
     assert driver._windows[0] == (11, 3, 1163)
     driver = _Rounds(net)
-    driver.beliefs(4096)
+    driver.advance(4096)
     assert driver.executed <= 60
 
 
@@ -670,7 +672,7 @@ def test_search_window_never_outgrows_the_rounds_stepped_since_it_started():
     for name, net, rounds in _drift_cases():
         driver = Watched(net)
         for r in range(1, rounds + 1):
-            driver.beliefs(r)
+            driver.advance(r)
         restarts += len(driver._windows) - 1
     assert restarts >= 1  # the slow draw leaves its first drift orbit at round 347
 
@@ -683,7 +685,7 @@ def test_search_window_never_outgrows_the_rounds_stepped_since_it_started():
 
     name = "blind"
     driver = Blind(_first_draw_of_slow_approx())
-    driver.beliefs(3 * bp_engine._WINDOW)
+    driver.advance(3 * bp_engine._WINDOW)
     assert driver.orbit is None and len(driver._tables) > bp_engine._WINDOW // 2
 
 

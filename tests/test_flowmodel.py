@@ -140,6 +140,28 @@ def test_preprocess_t1_unchanged():
     assert fixed == {}
 
 
+def test_preprocess_returns_a_network_in_id_order_with_no_forced_arc_as_it_is():
+    # the rebuild would index the same network: every node keeps degree
+    # >= 2 and the arcs already stand in id order
+    net = random_network(11, n=6, m=14)
+    assert all(net.degree(v) >= 2 for v in net.demands)
+    reduced, fixed = preprocess_degree(net)
+    assert reduced is net and fixed == {}
+    # the same arcs listed in another order (as a JSON file may list them)
+    # are rebuilt in id order, into a network equal to the in-order one
+    d = network_to_json_dict(net)
+    d["arcs"] = d["arcs"][::-1]
+    shuffled = network_from_json_dict(d)
+    rebuilt, fixed = preprocess_degree(shuffled)
+    assert rebuilt is not shuffled and fixed == {}
+    assert rebuilt == net and list(rebuilt.demands) == list(net.demands)
+    assert [a.id for a in rebuilt.arcs] == sorted(a.id for a in net.arcs)
+    # a forced arc still rebuilds, whatever the order
+    chain = FlowNetwork.from_data({1: 1, 2: 0, 3: -1}, [(1, 1, 2, 2, 1), (2, 2, 3, 2, 1), (3, 2, 3, 2, 2)])
+    reduced, fixed = preprocess_degree(chain)
+    assert reduced is not chain and fixed == {1: 1}
+
+
 def test_preprocess_forced_infeasible():
     net = FlowNetwork.from_data({1: 3, 2: -3}, [(1, 1, 2, 2, 1)])
     with pytest.raises(ForcedInfeasibleError):

@@ -12,7 +12,6 @@ from flowbp.errors import (
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
-from flowbp.bp_engine import belief, gap_test
 from flowbp.flowmodel import (
     FlowNetwork,
     check_feasible,
@@ -34,7 +33,7 @@ from flowbp.fpras import (
 )
 from flowbp.gen import random_network
 from flowbp.oracles import enumerate_integral_flows, exact_solve, is_unique_optimum
-from helpers import HEAVY_APPROX_CALLS, approx_batch_draw, literal_tables, t1_network
+from helpers import HEAVY_APPROX_CALLS, approx_batch_draw, literal_gap_test, literal_tables, t1_network
 
 
 def test_perturb_t1_formula():
@@ -335,8 +334,7 @@ def _literal_decide(pn):
     oracle_flows = None
     for t in (1 << k for k in range(3, PROBE_CAP.bit_length())):
         state = literal_tables(reduced, t)[-1]
-        beliefs = {a.id: belief(reduced, state, a.id) for a in reduced.arcs}
-        cand_unique, flows, _ = gap_test(reduced, beliefs, threshold)
+        cand_unique, flows, _ = literal_gap_test(reduced, state, threshold)
         if cand_unique:
             flows = {**fixed, **flows}
             if check_feasible(pn, flows):

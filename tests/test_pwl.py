@@ -20,6 +20,7 @@ from flowbp.pwl import (
     PwlConvex,
     add_composed,
     add_shared,
+    argmin_shared,
     inf_convolve2,
     leave_one_out,
     node_messages,
@@ -553,6 +554,63 @@ def test_add_shared_rejects_what_it_cannot_merge():
     assert (line, line._values) == (PwlConvex((NEG_INF, POS_INF), (4,), (0, 5)), (None, None))
 
 
+@KERNEL
+@given(h=pwl_functions(), p=pwl_functions(), q=pwl_functions())
+def _argmin_shared_reads_the_belief(seen, h, p, q):
+    # f and g share the summand h, as an arc's two messages share its cost
+    try:
+        f, g = h.add(p), h.add(q)
+    except EmptyDomainError:
+        return
+    want = _outcome(lambda: add_shared(f, g, h).argmin())
+    got = _outcome(argmin_shared, f, g, h)
+    if isinstance(want, tuple):
+        assert got == want
+        seen[want[0].__name__] += 1
+        return
+    b = add_shared(f, g, h)
+    z, left, right = got
+    assert z == want
+    assert (right == 0) == (z < b.domain[1] and b.right_derivative(z) == 0)
+    if z == POS_INF:  # flat on all of R: the right end stands for the arg-min set
+        assert (left, right) == (0, POS_INF)
+        seen["flat on R"] += 1
+        return
+    at = b.evaluate(z)
+    gaps = [POS_INF if y == POS_INF else y - at for y in (b.evaluate(z - 1), b.evaluate(z + 1))]
+    assert [-left, right] == gaps
+    seen["tie" if right == 0 else "left end" if left == NEG_INF else "right end" if right == POS_INF
+         else "inside"] += 1
+
+
+def test_argmin_shared_equals_the_belief_it_does_not_build():
+    # the minimizer, tie flag and gap differences of add_shared(f, g, h),
+    # and its errors, type and message
+    seen: Counter = Counter()
+    _argmin_shared_reads_the_belief(seen)
+    for kind in ("tie", "left end", "right end", "inside", "EmptyDomainError", "UnboundedError"):
+        assert seen[kind] > 0, (kind, seen)
+
+
+def test_argmin_shared_rejects_what_it_cannot_merge():
+    h = PwlConvex.linear(1, 0, 4)
+    with pytest.raises(EmptyDomainError):  # disjoint domains
+        argmin_shared(PwlConvex.linear(0, 0, 1), PwlConvex.linear(0, 2, 3), h)
+    with pytest.raises(EmptyDomainError):  # h is +inf on part of the sum's domain
+        argmin_shared(PwlConvex.constant(0), PwlConvex.linear(0, -1, 3), h)
+    vee = PwlConvex((0, 2, 4), (-1, 1), (0, 0))
+    down = PwlConvex.linear(-1, 0, 4)
+    with pytest.raises(NonConvexError):  # the slopes fall at 2, before the minimizer 4
+        argmin_shared(down, down, vee)
+    # past the minimizer the slopes are not read: add_shared(h, h, vee)
+    # falls at 2, but its read-off stops at 0
+    assert argmin_shared(h, h, vee) == (0, NEG_INF, 3)
+    with pytest.raises(UnboundedError):
+        argmin_shared(PwlConvex.constant(0), PwlConvex.constant(0).tilt(-1), PwlConvex.constant(0))
+    assert argmin_shared(h, h, h) == (0, NEG_INF, 1)
+    assert argmin_shared(PwlConvex.point(3, 0), PwlConvex.point(3, 5), PwlConvex.point(3, 1)) == (3, NEG_INF, POS_INF)
+
+
 @st.composite
 def arc_costs(draw):
     """Costs on ``[0, cap]``: the point of a zero-capacity arc, and one to
@@ -585,7 +643,7 @@ def node_cases(draw):
 def _outcome(kernel, *args):
     try:
         return kernel(*args)
-    except (UnboundedError, EmptyDomainError) as exc:
+    except (UnboundedError, EmptyDomainError, NonConvexError) as exc:
         return type(exc), str(exc)
 
 
@@ -621,21 +679,23 @@ def test_node_messages_equal_literal_composition(monkeypatch):
     # every output of the fused kernel is exactly add_composed over
     # leave_one_out of the reflected operands, errors, anchors and values
     # included; the spy records where each finished output's cost domain
-    # lies from its split point, in the output's own coordinate
+    # lies from its split point, in the output's own coordinate, apart for
+    # the outputs read reflected from the sorted pieces (a = -1)
     seen: Counter = Counter()
     finish = pwl._finish
 
-    def spy(z, v, left, right, skip, phi):
+    def spy(z, v, left, right, skip, phi, a):
         lo, hi = phi.domain
         if (lo, hi) != (NEG_INF, POS_INF):
             where = "left" if hi < z else "right" if z < lo else "straddles" if lo < z < hi else "edge"
-            seen["window " + where] += 1
-        return finish(z, v, left, right, skip, phi)
+            seen[("reflected " if a == -1 else "") + "window " + where] += 1
+        return finish(z, v, left, right, skip, phi, a)
 
     monkeypatch.setattr(pwl, "_finish", spy)
     _node_messages_match_literal_composition(seen)
-    for kind in ("window left", "window right", "window straddles", "tilts > 1",
-                 "UnboundedError", "EmptyDomainError"):
+    for kind in ("window left", "window right", "window straddles",
+                 "reflected window left", "reflected window right", "reflected window straddles",
+                 "tilts > 1", "UnboundedError", "EmptyDomainError"):
         assert seen[kind] > 0, (kind, seen)
 
 
