@@ -17,6 +17,11 @@ Typical use::
     print(run(net).assignment.flows)
     print(detect_uniqueness(net).unique)
     print(approx_scheme(net, "1/2", seed=7).assignment.objective)
+
+Importing the package loads the solver (``errors``, ``pwl``,
+``flowmodel`` and ``bp_engine``).  The exports of ``fpras``, ``gen`` and
+``oracles``, and those modules themselves, are loaded on first use, so a
+``solve`` or ``check-unique`` process never compiles them.
 """
 
 from .bp_engine import (
@@ -47,18 +52,38 @@ from .flowmodel import (
     preprocess_degree,
     split_node_capacities,
 )
-from .fpras import approx_scheme, aprxmt, fix_arc, perturb_costs
-from .gen import hard_instance, random_network
-from .oracles import (
-    ComputationTree,
-    build_tree,
-    enumerate_integral_flows,
-    exact_solve,
-    is_unique_optimum,
-    tree_solve,
-    tree_solve_free,
-)
 from .pwl import PwlConvex, inf_convolve2, scaled_interpolation
+
+#: Exports resolved on first use, by module.
+_LAZY = {
+    "fpras": ("approx_scheme", "aprxmt", "fix_arc", "perturb_costs"),
+    "gen": ("hard_instance", "random_network"),
+    "oracles": (
+        "ComputationTree",
+        "build_tree",
+        "enumerate_integral_flows",
+        "exact_solve",
+        "is_unique_optimum",
+        "tree_solve",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})
+
 
 __all__ = [
     "Arc",
@@ -99,7 +124,6 @@ __all__ = [
     "scaled_interpolation",
     "split_node_capacities",
     "tree_solve",
-    "tree_solve_free",
     "update_round",
 ]
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, cycle
 from typing import Callable, NamedTuple, Optional
@@ -68,14 +67,13 @@ from .flowmodel import (
     make_assignment,
     preprocess_degree,
 )
-from .pwl import POS_INF, Extended, PwlConvex, add_shared, argmin_shared, node_messages
+from .pwl import POS_INF, Extended, PwlConvex, _node_messages, add_shared, argmin_shared
 
 MessageKey = tuple[int, int]  # (arc id, endpoint the message points to)
 ReadOff = tuple[Extended, Extended, Extended]  # belief minimizer, slopes left and right of it
 
 
-@dataclass
-class MessageState:
+class MessageState(NamedTuple):
     """Message table at one round: exactly two entries per arc."""
 
     round: int
@@ -142,7 +140,7 @@ def update_round(network: FlowNetwork, state: MessageState) -> MessageState:
     empty = None
     for node in plan.nodes:
         try:
-            out = node_messages([prev[k] for k in node.sources], node.signs, node.finishes)
+            out = _node_messages([prev[k] for k in node.sources], node.signs, node.finishes)
         except EmptyDomainError as exc:
             empty = exc
             continue
@@ -174,10 +172,7 @@ def estimate(network: FlowNetwork, state: MessageState) -> FlowAssignment:
     cannot have a unique optimum if this persists) are recorded in
     ``ties``.
     """
-    flows, ties = _minimizers(_read_off(network, state))
-    out = make_assignment(network, flows)
-    out.ties = ties
-    return out
+    return make_assignment(network, *_minimizers(_read_off(network, state)))
 
 
 def _read_off(network: FlowNetwork, state: MessageState) -> dict[int, ReadOff]:
@@ -218,13 +213,12 @@ def check_message_invariants(network: FlowNetwork, state: MessageState) -> None:
                 )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     assignment: FlowAssignment
     state: Optional[MessageState]
     rounds_used: int
     executed_rounds: int
-    piece_totals: list[int] = field(default_factory=list)
+    piece_totals: list[int]
 
 
 def _merged_assignment(
@@ -235,9 +229,7 @@ def _merged_assignment(
 ) -> FlowAssignment:
     """The reduced network's ``flows`` and ``ties`` with the forced flows
     merged back in, packaged on the whole network."""
-    out = make_assignment(network, {**fixed, **flows})
-    out.ties = ties
-    return out
+    return make_assignment(network, {**fixed, **flows}, ties)
 
 
 def run(
@@ -271,7 +263,7 @@ def run(
         assignment = _merged_assignment(network, fixed, {}, ())
         if not assignment.feasible:
             raise InfeasibleFlowError("forced flows are not feasible")
-        return RunResult(assignment, None, 0, 0)
+        return RunResult(assignment, None, 0, 0, [])
     total = iteration_bound(reduced, "convergence") if rounds is None else rounds
     driver = _Rounds(reduced, on_round)
     last = total
@@ -652,8 +644,7 @@ def gap_test(
     return unique, flows, ties
 
 
-@dataclass
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     unique: bool
     assignment: Optional[FlowAssignment]
     rounds_used: int

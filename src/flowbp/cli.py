@@ -17,9 +17,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from . import bp_engine, fpras, gen
+from . import bp_engine
 from .errors import (
     DimacsInconsistentError,
     DimacsSyntaxError,
@@ -189,6 +188,10 @@ def cmd_check_unique(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from fractions import Fraction
+
+    from . import fpras
+
     t0 = time.perf_counter()
     net = load_instance(args.input, args.format)
     check_solvable(net)
@@ -215,6 +218,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import gen
+
     if args.arcs < args.nodes - 1:
         raise UsageError(f"need at least nodes-1 = {args.nodes - 1} arcs for connectivity")
     if args.nodes < 2 and args.arcs > 0:

@@ -35,8 +35,7 @@ Parallel arcs are permitted and are distinguished by arc id everywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import (
     BadCostDomainError,
@@ -65,8 +64,7 @@ Capacity = Union[int, None]
 MAX_DIMACS_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """A directed arc with integer capacity bounds and a convex cost."""
 
     id: int
@@ -244,8 +242,7 @@ class FlowNetwork:
         return f"FlowNetwork(n={self.n}, m={self.m}, c_max={self.c_max})"
 
 
-@dataclass
-class FlowAssignment:
+class FlowAssignment(NamedTuple):
     """An arc-id -> flow map with its objective value.
 
     ``feasible`` records whether the assignment satisfied all bounds and
@@ -287,11 +284,14 @@ def check_feasible(network: FlowNetwork, flows: Mapping[int, int]) -> bool:
     return True
 
 
-def make_assignment(network: FlowNetwork, flows: Mapping[int, int]) -> FlowAssignment:
-    """Package flows with a recomputed objective and feasibility flag."""
+def make_assignment(
+    network: FlowNetwork, flows: Mapping[int, int], ties: tuple[int, ...] = ()
+) -> FlowAssignment:
+    """Package flows with a recomputed objective and feasibility flag, and
+    the solver's tied arcs ``ties``."""
     obj = objective_value(network, flows)
     feas = obj != POS_INF and check_feasible(network, flows)
-    return FlowAssignment(dict(flows), obj, feas)
+    return FlowAssignment(dict(flows), obj, feas, ties)
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +875,7 @@ def iteration_bound(network: FlowNetwork, mode: str) -> int:
 # Node-capacity splitting
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Outcome of the node-capacity splitting reduction.
 
     ``network`` is the ordinary min-cost-flow instance; original arc ids

@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bp_engine import _Rounds, gap_test
 from .errors import (
@@ -140,16 +139,16 @@ def _philox_words(key: tuple[int, int]):
             yield w >> 32
 
 
-@dataclass(frozen=True)
 class _Seed:
     """A noise stream: numpy's ``SeedSequence(entropy, spawn_key)``, which
     rejects negative and non-integer entries at once."""
 
-    entropy: object
-    spawn_key: tuple
+    __slots__ = ("entropy", "spawn_key")
 
-    def __post_init__(self):
-        _words((self.entropy, self.spawn_key))
+    def __init__(self, entropy, spawn_key: tuple):
+        _words((entropy, spawn_key))
+        self.entropy = entropy
+        self.spawn_key = spawn_key
 
     def integers(self, low: int, high: int, size: int) -> list[int]:
         """``Generator(Philox(seed_sequence)).integers(low, high,
@@ -186,8 +185,7 @@ def _as_fraction(eps) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
-class PerturbedInstance:
+class PerturbedInstance(NamedTuple):
     """A noise draw over an integral linear-cost instance.
 
     ``granularity`` is the exact rational grid step ``c_max * eps / (4mn)``;
@@ -303,8 +301,7 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     return True, dict(oracle[0]), driver.executed
 
 
-@dataclass
-class AprxmtResult:
+class AprxmtResult(NamedTuple):
     """One successful perturb-and-certify solve."""
 
     assignment: FlowAssignment  # unique optimum of the perturbed instance
@@ -360,8 +357,7 @@ def fix_arc(network: FlowNetwork, arc_id: int, value: int) -> FlowNetwork:
     return FlowNetwork._trusted(demands, tuple(a for a in network.arcs if a.id != arc_id))
 
 
-@dataclass
-class DecimationRound:
+class DecimationRound(NamedTuple):
     """Per-round log of the decimation loop (JSON-friendly fields plus the
     exact objects the acceptance checks need)."""
 
@@ -372,9 +368,9 @@ class DecimationRound:
     c_bar_max: int
     rounds: int
     executed_rounds: int
-    instance: FlowNetwork = field(repr=False)
-    granularity: Fraction = field(repr=False)
-    perturbed_flows: dict[int, int] = field(repr=False)
+    instance: FlowNetwork
+    granularity: Fraction
+    perturbed_flows: dict[int, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,8 +384,7 @@ class DecimationRound:
         }
 
 
-@dataclass
-class ApproxResult:
+class ApproxResult(NamedTuple):
     assignment: FlowAssignment
     rounds: list[DecimationRound]
 

@@ -15,12 +15,10 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     BudgetExceededError,
-    InfeasibleInstanceError,
     NotOptimalError,
     ResultCheckError,
     SizeBudgetError,
@@ -141,8 +139,7 @@ def is_unique_optimum(network: FlowNetwork, flows: Mapping[int, int]) -> bool:
 # Computation trees
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     id: int
     orig: int
     parent: int | None
@@ -150,16 +147,14 @@ class TreeVertex:
     level: int
 
 
-@dataclass(frozen=True)
-class TreeArc:
+class TreeArc(NamedTuple):
     id: int
     orig: int  # original arc id
     tail: int  # tree vertex ids, orientation copied from the original arc
     head: int
 
 
-@dataclass(frozen=True)
-class ComputationTree:
+class ComputationTree(NamedTuple):
     """Depth-``depth`` breadth-first unwrapping of the graph around an arc.
 
     The root arc joins two level-0 copies of its original endpoints, which
@@ -342,18 +337,3 @@ def tree_solve(tree: ComputationTree, root_flow: int):
             return POS_INF
         total += side[root_flow]
     return total
-
-
-def tree_solve_free(tree: ComputationTree) -> tuple[int, int]:
-    """Unconstrained tree optimum and its smallest optimal root flow."""
-    root = tree.network.arc_by_id[tree.root_arc.orig]
-    if root.capacity is None:
-        raise BudgetExceededError("tree DP needs finite capacities")
-    best, best_z = POS_INF, None
-    for z in range(root.capacity + 1):
-        v = tree_solve(tree, z)
-        if v < best:
-            best, best_z = v, z
-    if best_z is None:
-        raise InfeasibleInstanceError("tree problem has no feasible assignment")
-    return best, best_z

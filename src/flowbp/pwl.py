@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence, Union
 
@@ -866,12 +865,17 @@ def node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes)
     :class:`EmptyDomainError` when some ``L_i(a*z + b)`` is ``+inf`` on
     all of ``phi``'s domain.
     """
-    d = len(incoming)
-    if d < 2:
-        raise ValueError("leave-one-out needs at least two functions")
     for _, a, b in finishes:
         if a not in (1, -1) or type(b) is not int:
             _check_affine(a, b)
+    return _node_messages(incoming, signs, finishes)
+
+
+def _node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes) -> list[PwlConvex]:
+    """:func:`node_messages` for finishes whose maps are already checked."""
+    d = len(incoming)
+    if d < 2:
+        raise ValueError("leave-one-out needs at least two functions")
     if d == 2:
         return [
             _add_composed(phi, incoming[1 - i], signs[1 - i] * a, signs[1 - i] * b)

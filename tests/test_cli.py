@@ -583,6 +583,63 @@ def test_cold_start_loads_networkx_and_numpy_only_for_approx(tmp_path, t1_file, 
     assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "loaded": loaded}
 
 
+_MODULES_AFTER = """
+import json, sys
+from flowbp import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "flowbp" or m in ("dataclasses", "fractions"))
+print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+_SOLVER = ["flowbp", "flowbp.bp_engine", "flowbp.cli", "flowbp.errors", "flowbp.flowmodel",
+           "flowbp.pwl"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["solve", "--input", "T1"], []),
+        (["solve", "--iters", "3", "--patience", "2", "--input", "T1"], []),
+        (["check-unique", "--input", "T1"], []),
+        (["approx", "--epsilon", "1/2", "--input", "T1"], ["flowbp.fpras", "fractions"]),
+        (["approx", "--epsilon", "1/2", "--input", "ZERO"], ["flowbp.fpras", "fractions"]),
+        (["gen", "--nodes", "5", "--arcs", "8", "--seed", "2"], ["flowbp.gen", "flowbp.oracles"]),
+    ],
+)
+def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, t1_file, argv, extra):
+    # each module loaded is compiled from source when no bytecode is
+    # written, so a subcommand loads the solver and only what it runs, and
+    # no path loads dataclasses (which pulls in inspect, ast and dis)
+    zero = tmp_path / "zero.dimacs"
+    zero.write_text(ZERO_COST_DIMACS)
+    argv = [{"T1": t1_file, "ZERO": str(zero)}.get(a, a) for a in argv]
+    proc = _python("-c", _MODULES_AFTER, *argv, timeout=120)
+    assert json.loads(proc.stderr.splitlines()[-1]) == {
+        "exit": 0, "loaded": sorted(_SOLVER + extra)}
+
+
+def test_package_exports_resolve_on_first_use():
+    import flowbp
+
+    namespace: dict = {}
+    exec("from flowbp import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == sorted(flowbp.__all__)
+    for name in flowbp.__all__:
+        obj = getattr(flowbp, name)
+        assert namespace[name] is obj
+        module = getattr(obj, "__module__", None)
+        if module is not None and module.startswith("flowbp."):
+            assert getattr(sys.modules[module], name) is obj, name
+    assert set(flowbp.__all__) <= set(dir(flowbp))
+    assert {"fpras", "gen", "oracles"} <= set(dir(flowbp))
+    assert flowbp.oracles is sys.modules["flowbp.oracles"]
+    with pytest.raises(AttributeError, match="no attribute 'tree_solve_free'"):
+        flowbp.tree_solve_free
+    with pytest.raises(ImportError):
+        exec("from flowbp import no_such_name", {})
+
+
 @pytest.mark.parametrize(
     "seed_args, env, detail",
     [

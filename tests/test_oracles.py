@@ -35,7 +35,6 @@ from flowbp.oracles import (
     exact_solve,
     is_unique_optimum,
     tree_solve,
-    tree_solve_free,
 )
 from flowbp.pwl import POS_INF, PwlConvex
 from helpers import HANG_NETWORK, piece_expanded_graph, simplex_solve, t1_network
@@ -584,9 +583,3 @@ def test_tree_solve_depth2_by_hand():
     assert tree_solve(tree, 0) == 3
     assert tree_solve(tree, 1) == 2
     assert tree_solve(tree, 2) == POS_INF
-
-
-def test_tree_solve_free_depth0():
-    tree = build_tree(t1_network(), 3, 0)
-    value, z = tree_solve_free(tree)
-    assert (value, z) == (0, 0)  # min of the bare arc cost over [0, 2]
