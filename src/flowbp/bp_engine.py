@@ -44,8 +44,9 @@ constants.  One round driver steps every solve, gap test and probe.  It
 searches the tables it has stepped for orbits of the shapes: breakpoints
 that repeat with a period while each piece's slope moves by a fixed
 integer per period, certified from the tables alone for as many periods
-as the slope order at every node holds.  It answers "the table at round
-N" by building the table of the orbit's last whole period before N and
+as the slope order at every node holds (for ever when each period tilts
+the messages into a node alike).  It answers "the table at round N" by
+building the table of the orbit's last whole period before N and
 stepping the rest, with identical results, unless a per-round hook must
 see every table.
 """
@@ -297,12 +298,12 @@ def dump_round(state: MessageState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The round driver with its drift-orbit fast-forward, and the gap test
+# The round driver with its orbit fast-forward, and the gap test
 
 
 #: The most tables the orbit search keeps, so that a run certifying no
-#: orbit holds and searches a bounded window; drift orbits of period up to
-#: a quarter of it stay in reach.
+#: orbit holds and searches a bounded window; orbits of period up to a
+#: quarter of it stay in reach.
 _WINDOW = 64
 
 _BREAKPOINTS = operator.attrgetter("breakpoints")
@@ -315,61 +316,6 @@ def _same_breakpoints(old: MessageState, new: MessageState) -> bool:
         f.breakpoints == g.breakpoints
         for f, g in zip(new.messages.values(), old.messages.values())
     )
-
-
-def _same_shape(old: MessageState, new: MessageState) -> bool:
-    """Whether every message of ``new`` is its ``old`` counterpart plus
-    ``alpha_k * z + beta_k``: equal breakpoints and equal slope increments."""
-    return all(
-        f.breakpoints == g.breakpoints
-        and all(x - y == f.slopes[0] - g.slopes[0] for x, y in zip(f.slopes, g.slopes))
-        for f, g in zip(new.messages.values(), old.messages.values())
-    )
-
-
-def _invariant_tilt(
-    network: FlowNetwork, old: MessageState, new: MessageState
-) -> Optional[dict[MessageKey, int]]:
-    """Check that one round maps the observed affine offset to itself.
-
-    ``alpha_k`` is each message's slope shift between the two matched
-    rounds.  A round preserves the offsets exactly when, for every message
-    a node w sends along an arc e, the shifts of w's other incoming
-    messages factor through the conservation constraint (``alpha = c *
-    sign`` for one constant ``c`` per message, point indicators free) and
-    the implied output shift ``-c * delta(w, e)`` equals the observed one.
-    Returns the shift per message key, or None when the pattern is not
-    invariant.
-    """
-    plan = _plan(network)
-    alpha: dict[MessageKey, Optional[int]] = {}
-    for key, f, g in zip(plan.keys, old.messages.values(), new.messages.values()):
-        if bool(f.slopes) != bool(g.slopes):
-            return None
-        # point indicators (no slopes) take any tilt
-        alpha[key] = g.slopes[0] - f.slopes[0] if f.slopes else None
-    for node in plan.nodes:
-        sources = [alpha[k] for k in node.sources]
-        for i, slot in enumerate(node.slots):
-            c = None
-            for j, (a, sign) in enumerate(zip(sources, node.signs)):
-                if j == i or a is None:
-                    continue
-                cand = a * sign
-                if c is None:
-                    c = cand
-                elif c != cand:
-                    return None
-            out = alpha[plan.keys[slot]]
-            if out is None:
-                continue
-            if c is None:
-                # every source is a point indicator, so the output must be
-                # one too; a sloped output cannot match
-                return None
-            if out != -c * node.signs[i]:
-                return None
-    return {k: (0 if a is None else a) for k, a in alpha.items()}
 
 
 def _drift(old: MessageState, new: MessageState) -> tuple[tuple[int, ...], ...]:
@@ -426,13 +372,12 @@ def _periods_kept(network: FlowNetwork, old: MessageState, new: MessageState) ->
 class _Orbit(NamedTuple):
     """Tables ``start + k * period`` are ``start`` with every slope moved
     by ``k`` times its drift, up to one constant per message, through
-    round ``end``."""
+    round ``end``; the phases between are stepped."""
 
     start: MessageState
     period: int
     drift: tuple[tuple[int, ...], ...]  # per message in table order, per piece
     end: Extended  # last certified round; POS_INF when the orbit never ends
-    uniform: bool  # one tilt per message, the same drift in every phase
 
     def table(self, periods: int) -> MessageState:
         start = self.start
@@ -457,26 +402,23 @@ class _Rounds:
     it holds ``_WINDOW`` tables.  The last one with the same breakpoints is
     ``d`` rounds back.
 
-    * Uniform orbits, tested ``d`` rounds back and at the checkpoint, the
-      table of the last power of two (as in Brent's cycle detection): a
-      match up to ``alpha_k * z + beta_k`` per message that
-      :func:`_invariant_tilt` certifies is an orbit with no end, since
-      every later table is a tilt of one a whole number of periods back.
-    * Drift orbits, tested at each period ``Q`` a multiple of ``d`` with
-      ``2Q + 1`` tables in the window, when the fingerprints of the period
-      starts step by equal amounts and the breakpoint hashes repeat in
-      every phase.  Every phase keeps its breakpoints over both periods,
-      each piece's slope moves by the same integer over both, and the slope
-      order at every node holds for :func:`_periods_kept` periods, more
-      than two.  A round's output is a function of its input modulo
-      constants, and canonical, so its breakpoints follow from the input
-      breakpoints and those orders, and its slopes are input slopes plus
-      arc-cost slopes: the tables stay exact through the certified end.
+    An orbit is tested at each period ``Q`` a multiple of ``d`` with
+    ``2Q + 1`` tables in the window, when the fingerprints of the period
+    starts step by equal amounts and the breakpoint hashes repeat in every
+    phase.  Every phase keeps its breakpoints over both periods, each
+    piece's slope moves by the same integer over both, and the slope order
+    at every node holds for :func:`_periods_kept` periods, more than two.
+    A round's output is a function of its input modulo constants, and
+    canonical, so its breakpoints follow from the input breakpoints and
+    those orders, and its slopes are input slopes plus arc-cost slopes:
+    the tables stay exact through the certified end.  When each period
+    tilts every message into a node by the same signed amount, no slope
+    order changes and the orbit has no end.
 
     :meth:`advance` lands on the orbit's last round a whole number of
     periods from its start at or before the target (a table built by
     moving each slope along its drift), steps the rest, and never steps
-    past its target.  Past a drift orbit's end the rounds are stepped and
+    past its target.  Past an orbit's end the rounds are stepped and
     searched again.  ``executed`` counts the stepped rounds.  It returns
     the table; the solve, the gap test and the probes read each arc's
     minimizer and gap slopes off it (:func:`_read_off`), with no belief
@@ -523,12 +465,6 @@ class _Rounds:
         # the last table in the window with the same breakpoints is d back
         d = keys[::-1].index(key) + 1 if key in keys else 0
         t = state.round - self._origin
-        # the checkpoint, c back, is the table of the last power of two before t
-        c = t - (1 << (t - 1).bit_length() - 1) if t > 1 else 0
-        if d and self._uniform(tables[-d]):
-            return
-        if c and c != d and c <= len(keys) and keys[-c] == key and self._uniform(tables[-c]):
-            return
         tables.append(state)
         keys.append(key)
         prints.append(None)
@@ -551,19 +487,8 @@ class _Rounds:
             prints[i] = _fingerprint(self._tables[i])
         return prints[i]
 
-    def _uniform(self, old: MessageState) -> bool:
-        """Certify a uniform orbit from ``old`` to the current table."""
-        state = self.state
-        # the tilt test fails more often, and first
-        alpha = _invariant_tilt(self.network, old, state)
-        if alpha is None or not _same_shape(old, state):
-            return False
-        drift = tuple((alpha[k],) * len(f.slopes) for k, f in state.messages.items())
-        self._certify(_Orbit(state, state.round - old.round, drift, POS_INF, True), old.round)
-        return True
-
     def _drifting(self, q: int) -> bool:
-        """Certify a drift orbit of period ``q`` from the window's tables of
+        """Certify an orbit of period ``q`` from the window's tables of
         the last two periods."""
         tables = self._tables[-2 * q - 1:]
         first, mid, state = tables[0], tables[q], tables[-1]
@@ -575,12 +500,9 @@ class _Rounds:
         kept = min(_periods_kept(self.network, tables[p], tables[p + q]) for p in range(q))
         if kept <= 2:  # the first two periods are stepped anyway
             return False
-        self._certify(_Orbit(state, q, drift, first.round + kept * q, False), first.round)
+        self.orbit = _Orbit(state, q, drift, first.round + kept * q)
+        self._windows.append((first.round, q, self.orbit.end))
         return True
-
-    def _certify(self, orbit: _Orbit, stepped_from: int) -> None:
-        self.orbit = orbit
-        self._windows.append((stepped_from, orbit.period, orbit.end))
 
     def _land(self, target: int) -> None:
         """Move along the orbit to its last round at or before ``target``
@@ -606,9 +528,6 @@ class _Rounds:
                 self._land(target)
             if self.state.round < target:
                 self._step()
-        if self.orbit is not None and self.orbit.uniform:
-            # the same tilt in every phase: any table starts the orbit
-            self.orbit = self.orbit._replace(start=self.state)
         return self.state
 
     def piece_total(self, r: int) -> int:

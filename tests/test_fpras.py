@@ -33,7 +33,14 @@ from flowbp.fpras import (
 )
 from flowbp.gen import random_network
 from flowbp.oracles import enumerate_integral_flows, exact_solve, is_unique_optimum
-from helpers import HEAVY_APPROX_CALLS, approx_batch_draw, literal_gap_test, literal_tables, t1_network
+from helpers import (
+    HEAVY_APPROX_CALLS,
+    approx_batch_draw,
+    literal_gap_test,
+    literal_tables,
+    t1_network,
+    tied_network,
+)
 
 
 def test_perturb_t1_formula():
@@ -358,13 +365,14 @@ def _literal_decide(pn):
 def test_decide_perturbed_equals_literal_probe_loop():
     # draws that certify a unique optimum early or after the oracle says
     # "keep going", find a zero-cost residual cycle (a tie), or reach
-    # their probe rounds along an orbit; and the benchmark's heavy draws,
-    # which must now skip rounds along a drift orbit
+    # their probe rounds along an orbit; a tie reached along an orbit; and
+    # the benchmark's heavy draws, which must now skip rounds along an orbit
     outcomes = set()
     small = []
     for seed, draw in [(1, 0), (2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]:
         net = random_network(seed + 6100, n=3, m=4 + seed % 3, c_max=1, cap_max=2)
         small.append(perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network)
+    small.append(tied_network())
     heavy = [approx_batch_draw(2, i) for i in HEAVY_APPROX_CALLS]
     for k, pn in enumerate(small + heavy):
         unique, flows, executed = _decide_perturbed(pn)
