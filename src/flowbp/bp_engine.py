@@ -40,7 +40,7 @@ want it.
 Everything the estimate and the gap test depend on is read from the
 message *shapes* (messages modulo one additive constant each), because one
 round shifts each new message by a constant when its inputs are shifted by
-constants.  One round driver steps every solve, gap test and probe.  It
+constants.  One round driver steps every solve and gap test.  It
 searches the tables it has stepped for orbits of the shapes: breakpoints
 that repeat with a period while each piece's slope moves by a fixed
 integer per period, certified from the tables alone for as many periods
@@ -419,10 +419,9 @@ class _Rounds:
     periods from its start at or before the target (a table built by
     moving each slope along its drift), steps the rest, and never steps
     past its target.  Past an orbit's end the rounds are stepped and
-    searched again.  ``executed`` counts the stepped rounds.  It returns
-    the table; the solve, the gap test and the probes read each arc's
-    minimizer and gap slopes off it (:func:`_read_off`), with no belief
-    built.
+    searched again.  ``executed`` counts the stepped rounds, which a caller
+    may bound.  It returns the table, and callers read each arc's minimizer
+    and gap slopes off it (:func:`_read_off`), with no belief built.
     """
 
     def __init__(self, reduced: FlowNetwork, on_round=None):
@@ -519,11 +518,11 @@ class _Rounds:
         if self.orbit is None:
             self._search_from(self.state)
 
-    def advance(self, target: int) -> MessageState:
-        """The round-``target`` table, exact up to one additive constant
-        per message (``target`` must not decrease between calls): callers
-        read only slopes (:func:`_read_off`)."""
-        while self.state.round < target:
+    def advance(self, target: int, limit: Extended = POS_INF) -> MessageState:
+        """The round-``target`` table (``target`` never decreasing), or an
+        earlier one once ``executed`` reaches ``limit``, exact up to one
+        additive constant per message: callers read only slopes."""
+        while self.state.round < target and self.executed < limit:
             if self.orbit is not None:
                 self._land(target)
             if self.state.round < target:

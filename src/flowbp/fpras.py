@@ -15,10 +15,11 @@ the user seed plus (decimation round, restart attempt), so runs are
 reproducible and each restart consumes an independent stream.  The draw is
 numpy's ``Generator(Philox(SeedSequence(seed, spawn_key))).integers``
 stream, computed here in plain integer Python, so no draw imports numpy.
-When the belief gap test has not separated yet, the probe loop asks the
-integer min-cost-flow solver (:func:`flowmodel.min_cost_flow`) whether
-the perturbed optimum is unique; an all-zero-cost leftover takes that
-solver's flow, since any feasible flow is optimal there.
+A draw is decided by the belief gap test at the nominal horizon, unless
+the round driver must step too many rounds to get there; then the integer
+min-cost-flow solver (:func:`flowmodel.min_cost_flow`) decides.  An
+all-zero-cost leftover takes that solver's flow, since any feasible flow
+is optimal there.
 
 The scheme takes linear non-negative integer costs only: piecewise costs
 and negative slopes raise ``ValueError``.
@@ -53,11 +54,9 @@ from .flowmodel import (
 
 RESTART_BUDGET = 64
 
-#: Last probe round of the probe loop before the exact tail takes over.
+#: Most rounds a draw steps on its way to the horizon before the exact
+#: reference decides it instead.
 PROBE_CAP = 1 << 14
-
-#: Rounds at which the probe loop applies the gap test: 8, 16, ..., PROBE_CAP.
-_PROBES = tuple(1 << k for k in range(3, PROBE_CAP.bit_length()))
 
 SeedLike = "int | numpy.random.SeedSequence"
 
@@ -240,10 +239,9 @@ def perturb_costs(network: FlowNetwork, eps, seed: SeedLike) -> PerturbedInstanc
 
 def _oracle_gap(pn: FlowNetwork) -> tuple[dict[int, int], object]:
     """The reference optimum and its residual-cycle certificate, checked:
-    the flow is feasible and the certificate is not negative.  On a unique
-    optimum every exact solver returns the same flow, and on a tied one
-    every optimal flow has a zero-cost residual cycle, so the choice of
-    reference does not change what the probe loop decides."""
+    the flow is feasible and the certificate is not negative.  A positive
+    certificate means a unique optimum, which every exact solver returns;
+    on a tied one every optimal flow has a zero-cost residual cycle."""
     flows = min_cost_flow(pn)
     if not check_feasible(pn, flows):
         raise ResultCheckError("the reference optimum is infeasible")
@@ -254,28 +252,14 @@ def _oracle_gap(pn: FlowNetwork) -> tuple[dict[int, int], object]:
 
 
 def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], int]:
-    """The outcome the full-length gap-test run would produce, exactly.
-
-    The nominal schedule runs ``2 * c_max * n^2`` rounds and applies the
-    belief gap test at threshold ``n * c_max``; at that horizon the test
-    passes iff the instance has a unique optimum, and the estimate then
-    *is* that optimum.  Both facts let us shortcut the astronomical round
-    count without changing any output.  The recursion is probed once at
-    each round of the fixed schedule 8, 16, ..., ``PROBE_CAP``; the round
-    driver reaches a probe inside a certified orbit by building the table
-    of its last whole period and stepping the rest, so draws whose slopes
-    drift apart skip most rounds too:
-
-    * when the gap test passes at a feasible estimate whose residual-cycle
-      certificate is not negative, the estimate is optimal, and the
-      certificate decides: positive is the unique optimum, exactly the
-      full run's answer; zero is a tie, exactly its "not unique";
-    * when the gap test fails, and at the last probe, the reference
-      solver's certificate is consulted once and kept: zero is a tie,
-      and a positive one only says the recursion has not separated the
-      beliefs yet;
-    * past the last probe the reference optimum is the unique one (this
-      exact tail triggers only on rare slow-mixing draws).
+    """The paper's decision: run the recursion for the nominal
+    ``2 * c_max * n^2`` rounds and apply the belief gap test at threshold
+    ``n * c_max``.  At that horizon the test passes iff the optimum is
+    unique, and the estimate then *is* that optimum, which a feasible flow
+    with a positive residual-cycle certificate confirms (anything else
+    raises :class:`ResultCheckError`).  The round driver reaches the
+    horizon along certified orbits; a draw that steps ``PROBE_CAP`` rounds
+    short of it is decided by the reference (:func:`_oracle_gap`).
 
     Returns (unique, optimal flows when unique, rounds executed).
     """
@@ -283,22 +267,19 @@ def _decide_perturbed(pn: FlowNetwork) -> tuple[bool, Optional[dict[int, int]], 
     if reduced.m == 0:
         # every flow is forced, so the feasible set is a single point
         return True, dict(fixed), 0
-    threshold = pn.n * pn.c_max
+    horizon = 2 * pn.c_max * pn.n * pn.n
     driver = _Rounds(reduced)
-    oracle = None  # (reference optimum, its certificate) once consulted
-    for probe in _PROBES:
-        passed, flows, _ = gap_test(reduced, driver.advance(probe), threshold)
-        if passed:
-            flows = {**fixed, **flows}
-            if check_feasible(pn, flows):
-                gap = min_cycle_cost(pn, flows)
-                if gap >= 0:
-                    return gap > 0, (flows if gap > 0 else None), driver.executed
-        if oracle is None and (not passed or probe == PROBE_CAP):
-            oracle = _oracle_gap(pn)
-        if oracle is not None and oracle[1] == 0:
-            return False, None, driver.executed
-    return True, dict(oracle[0]), driver.executed
+    state = driver.advance(horizon, PROBE_CAP)
+    if state.round < horizon:
+        flows, gap = _oracle_gap(pn)
+        return gap > 0, (flows if gap > 0 else None), driver.executed
+    passed, flows, _ = gap_test(reduced, state, pn.n * pn.c_max)
+    if not passed:
+        return False, None, driver.executed
+    flows = {**fixed, **flows}
+    if not check_feasible(pn, flows) or min_cycle_cost(pn, flows) <= 0:
+        raise ResultCheckError("the gap test passed on a flow that is not the unique optimum")
+    return True, flows, driver.executed
 
 
 class AprxmtResult(NamedTuple):
@@ -319,12 +300,12 @@ def aprxmt(
 ) -> AprxmtResult:
     """Perturb, solve, certify uniqueness; redraw until certain.
 
-    Each attempt draws fresh noise from its own sub-stream and runs the
-    nominal ``2 * perturbed_c_max * n^2``-round gap-test schedule (see
-    :func:`_decide_perturbed` for the outcome-preserving shortcuts).  A
-    draw with a non-unique optimum fails the test and triggers a redraw;
-    each draw succeeds with probability at least 1/2, so the budget (64)
-    is astronomically safe and exceeding it raises.
+    Each attempt draws fresh noise from its own sub-stream and applies the
+    gap test after the nominal ``2 * perturbed_c_max * n^2`` rounds
+    (:func:`_decide_perturbed`).  A draw with a non-unique optimum fails
+    the test and triggers a redraw; each draw succeeds with probability at
+    least 1/2, so the budget (64) is astronomically safe and exceeding it
+    raises.
     """
     eps = _as_fraction(eps)
     for attempt in range(restart_budget):

@@ -10,9 +10,10 @@ Python's arbitrary-precision integers.
 The two nontrivial operations are :func:`inf_convolve2`, the infimal
 convolution ``(f # g)(t) = min {f(x) + g(t - x)}``, and
 :func:`scaled_interpolation`, its k-way variant under a signed-sum coupling
-``sum(a_i * x_i) = t``.  Both are exact and run in time linear (respectively
-near-linear) in the total number of pieces: the pieces of ``f # g`` are the
-pieces of ``f`` and ``g`` stitched together in slope order.
+``sum(a_i * x_i) = t``.  Both are exact and run in time linear in the
+total number of pieces, up to one sort: the pieces of ``f # g`` are the
+pieces of ``f`` and ``g`` stitched together in slope order, and the k-way
+result stitches every operand's pieces, reflected by its sign, the same way.
 
 One kernel serves the message-passing engine.  :func:`node_messages`
 computes all of a node's outgoing messages: for every operand, the
@@ -885,20 +886,11 @@ def _node_messages(incoming: Sequence[PwlConvex], signs: Sequence[int], finishes
 
 
 def scaled_interpolation(fs: Sequence[PwlConvex], signs: Sequence[int]) -> PwlConvex:
-    """Exact ``t -> min {sum f_i(x_i) : sum signs_i * x_i = t}``.
-
-    Each operand is first reflected according to its sign, then the pair
-    convolutions are combined by a balanced binary reduction, which keeps
-    the total work near-linear in the summed piece counts.
-    """
+    """Exact ``t -> min {sum f_i(x_i) : sum signs_i * x_i = t}``: one
+    stitch of every operand's pieces, each reflected by its sign as it is
+    read, at one tilt (as :func:`inf_convolve2`, with ``k`` operands)."""
     if len(fs) != len(signs) or not fs:
         raise ValueError("need one sign per function and at least one function")
-    level = [f if a == 1 else f.compose_affine(-1, 0) for f, a in zip(fs, signs)]
-    while len(level) > 1:
-        nxt = [
-            inf_convolve2(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    if len(fs) == 1 and signs[0] == 1:
+        return fs[0]
+    return _convolve(fs, signs, (-1,), None)[0]

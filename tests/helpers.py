@@ -146,16 +146,16 @@ def uncapacitated_network(seed: int, share: float, discount: int) -> FlowNetwork
     return FlowNetwork.from_data(dict(base.demands), specs)
 
 
-#: Calls of the benchmark's seed-2 ``approx`` batch whose first draw is
-#: decided only at probe round 32 or 64, which the driver reaches along an
-#: orbit.
+#: Calls of the benchmark's seed-2 ``approx`` batch whose first draw the
+#: earlier probe loop decided only at round 32 or 64; the driver reaches
+#: its horizon along orbits in fewer stepped rounds.
 HEAVY_APPROX_CALLS = (1, 24, 37, 155, 202)
 
 
 def tied_network() -> FlowNetwork:
     """A small network with several optimal flows, whose message shapes
     repeat every round from round 2 on: the driver certifies a period-1
-    orbit with no end, and the probe loop decides the tie at round 8."""
+    orbit with no end, and the gap test fails at its 96-round horizon."""
     return random_network(2, n=4, m=6, c_max=3, cap_max=3, ensure_multiple=True)
 
 

@@ -12,6 +12,7 @@ from flowbp.errors import (
     ValueOutOfRangeError,
     ZeroCostInstanceError,
 )
+from flowbp.bp_engine import init_messages, update_round
 from flowbp.flowmodel import (
     FlowNetwork,
     check_feasible,
@@ -331,8 +332,9 @@ def test_per_round_fixing_inequality():
 
 
 def _literal_decide(pn):
-    # the probe loop with every round executed, as it was before the round
-    # driver: gap test at rounds 8, 16, ..., PROBE_CAP, then the exact tail
+    # the probe loop the decision rule replaced, with every round executed:
+    # gap test at rounds 8, 16, ..., PROBE_CAP, consulting the reference
+    # on the first failing probe, then the exact tail
     reduced, fixed = preprocess_degree(pn)
     if reduced.m == 0:
         return True, dict(fixed), 0
@@ -362,24 +364,67 @@ def _literal_decide(pn):
     return False, None, PROBE_CAP
 
 
+def _small_draw(seed: int, draw: int):
+    net = random_network(seed + 6100, n=3, m=4 + seed % 3, c_max=1, cap_max=2)
+    return perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network
+
+
 def test_decide_perturbed_equals_literal_probe_loop():
-    # draws that certify a unique optimum early or after the oracle says
-    # "keep going", find a zero-cost residual cycle (a tie), or reach
-    # their probe rounds along an orbit; a tie reached along an orbit; and
-    # the benchmark's heavy draws, which must now skip rounds along an orbit
+    # the gap test at the horizon decides as the literal probe loop did,
+    # on draws that loop certified early or after the reference said "keep
+    # going", found a tie by a zero-cost residual cycle, or reached along
+    # an orbit; on a tie; and on the benchmark's heavy draws, whose
+    # horizon the driver reaches in fewer rounds than the loop stepped
     outcomes = set()
-    small = []
-    for seed, draw in [(1, 0), (2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]:
-        net = random_network(seed + 6100, n=3, m=4 + seed % 3, c_max=1, cap_max=2)
-        small.append(perturb_costs(preprocess_degree(net)[0], Fraction(1, 2), seed=10 * seed + draw).network)
-    small.append(tied_network())
+    draws = [(1, 0), (2, 0), (13, 2), (15, 0), (37, 1), (42, 1), (57, 0), (58, 1), (60, 0)]
+    small = [_small_draw(seed, draw) for seed, draw in draws] + [tied_network()]
     heavy = [approx_batch_draw(2, i) for i in HEAVY_APPROX_CALLS]
     for k, pn in enumerate(small + heavy):
         unique, flows, executed = _decide_perturbed(pn)
         lit_unique, lit_flows, lit_rounds = _literal_decide(pn)
         assert (unique, flows) == (lit_unique, lit_flows), k
-        assert executed <= lit_rounds
         if k >= len(small):
             assert lit_rounds >= 32 and executed < lit_rounds, k
-        outcomes.add((unique, executed < lit_rounds))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        outcomes.add(unique)
+    assert outcomes == {True, False}
+
+
+def test_decide_perturbed_equals_literal_gap_test_at_the_horizon():
+    # every round to 2 * c_max * n^2 executed, one table kept: a tie
+    # (96 rounds), a tied draw (4,664) and a unique draw (2,592)
+    tied_draw = _small_draw(57, 0)
+    unique_draw = perturb_costs(
+        preprocess_degree(random_network(6300, n=2, m=3, c_max=1, cap_max=2))[0],
+        Fraction(9, 10), seed=0,
+    ).network
+    for pn, want in [(tied_network(), False), (tied_draw, False), (unique_draw, True)]:
+        reduced, fixed = preprocess_degree(pn)
+        state = init_messages(reduced)
+        for _ in range(2 * pn.c_max * pn.n * pn.n):
+            state = update_round(reduced, state)
+        lit_unique, lit_flows, _ = literal_gap_test(reduced, state, pn.n * pn.c_max)
+        unique, flows, _ = _decide_perturbed(pn)
+        assert unique == lit_unique == want
+        assert flows == ({**fixed, **lit_flows} if want else None)
+
+
+def test_decide_perturbed_rejects_a_pass_without_a_positive_certificate(monkeypatch):
+    pn = perturb_costs(t1_network(), Fraction(1, 2), seed=1).network
+    unique, flows, _ = _decide_perturbed(pn)
+    if not (unique and flows == {1: 1, 2: 1, 3: 0}):  # checked under python -O too
+        raise AssertionError((unique, flows))
+    monkeypatch.setattr(fpras, "min_cycle_cost", lambda net, flows: 0)
+    with pytest.raises(ResultCheckError):
+        _decide_perturbed(pn)
+
+
+def test_decide_perturbed_hands_a_draw_past_the_limit_to_the_reference(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fpras, "PROBE_CAP", 3)
+    monkeypatch.setattr(fpras, "_oracle_gap", lambda pn: calls.append(pn) or _oracle_gap(pn))
+    draws = [perturb_costs(t1_network(), Fraction(1, 2), seed=1).network, tied_network()]
+    decided = [_decide_perturbed(pn) for pn in draws]
+    references = [_oracle_gap(pn) for pn in draws]
+    want = [(True, references[0][0], 3), (False, None, 3)]
+    if calls != draws or decided != want or references[1][1] != 0:  # checked under python -O too
+        raise AssertionError((calls, decided, references))

@@ -296,7 +296,7 @@ def test_gate_max_flow_equals_networkx_maximum_flow_value():
 
 
 def _perturbed_corpus(count: int, seed: int = 9):
-    """Perturbed random instances, as the probe loop sees them: n 2-8,
+    """Perturbed random instances, as ``approx`` decides them: n 2-8,
     m n-1..n+10 (random endpoints repeat, giving parallel arcs), a third of
     them with about 30% of the arcs made uncapacitated."""
     rng = random.Random(seed)
