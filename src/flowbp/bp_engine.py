@@ -45,10 +45,10 @@ searches the tables it has stepped for orbits of the shapes: breakpoints
 that repeat with a period while each piece's slope moves by a fixed
 integer per period, certified from the tables alone for as many periods
 as the slope order at every node holds (for ever when each period tilts
-the messages into a node alike).  It answers "the table at round N" by
-building the table of the orbit's last whole period before N and
-stepping the rest, with identical results, unless a per-round hook must
-see every table.
+the messages into a node alike).  Inside a certified orbit it answers
+"the table at round N" with one table built from the stepped table of
+N's phase, its slopes moved along their drift, with identical results,
+unless a per-round hook must see every table.
 """
 
 from __future__ import annotations
@@ -258,6 +258,8 @@ def run(
     """
     if rounds is not None and rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
+    if patience is not None and patience < 1:
+        raise ValueError(f"patience must be at least 1, got {patience}")
     reduced, fixed = preprocess_degree(network)
     reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
@@ -370,24 +372,23 @@ def _periods_kept(network: FlowNetwork, old: MessageState, new: MessageState) ->
 
 
 class _Orbit(NamedTuple):
-    """Tables ``start + k * period`` are ``start`` with every slope moved
-    by ``k`` times its drift, up to one constant per message, through
-    round ``end``; the phases between are stepped."""
+    """One period of stepped tables: the table ``k`` periods after phase
+    ``j`` is ``phases[j]`` with every slope moved by ``k`` times its drift
+    ``drifts[j]``, up to one constant per message, through round ``end``."""
 
-    start: MessageState
-    period: int
-    drift: tuple[tuple[int, ...], ...]  # per message in table order, per piece
+    phases: tuple[MessageState, ...]  # consecutive rounds, one per phase
+    drifts: tuple[tuple[tuple[int, ...], ...], ...]  # per phase, message and piece
     end: Extended  # last certified round; POS_INF when the orbit never ends
 
-    def table(self, periods: int) -> MessageState:
-        start = self.start
+    def table(self, r: int) -> MessageState:
+        periods, j = divmod(r - self.phases[0].round, len(self.phases))
         return MessageState(
-            start.round + periods * self.period,
+            r,
             {
                 key: PwlConvex._trusted(
                     f.breakpoints, [s + periods * d for s, d in zip(f.slopes, drift)], f.anchor
                 ) if any(drift) else f
-                for (key, f), drift in zip(start.messages.items(), self.drift)
+                for (key, f), drift in zip(self.phases[j].messages.items(), self.drifts[j])
             },
         )
 
@@ -415,13 +416,13 @@ class _Rounds:
     tilts every message into a node by the same signed amount, no slope
     order changes and the orbit has no end.
 
-    :meth:`advance` lands on the orbit's last round a whole number of
-    periods from its start at or before the target (a table built by
-    moving each slope along its drift), steps the rest, and never steps
-    past its target.  Past an orbit's end the rounds are stepped and
-    searched again.  ``executed`` counts the stepped rounds, which a caller
-    may bound.  It returns the table, and callers read each arc's minimizer
-    and gap slopes off it (:func:`_read_off`), with no belief built.
+    Inside the orbit :meth:`advance` builds the target's table from the
+    stepped table of its phase, each slope moved along that phase's drift,
+    and steps nothing; it never steps past its target.  Past an orbit's
+    end the rounds are stepped and searched again.  ``executed`` counts
+    the stepped rounds, which a caller may bound.  It returns the table,
+    and callers read each arc's minimizer and gap slopes off it
+    (:func:`_read_off`), with no belief built.
     """
 
     def __init__(self, reduced: FlowNetwork, on_round=None):
@@ -493,29 +494,26 @@ class _Rounds:
         first, mid, state = tables[0], tables[q], tables[-1]
         if not all(map(_same_breakpoints, tables[:q + 1], tables[q:])):
             return False
-        drift = _drift(first, mid)
-        if drift != _drift(mid, state):
+        if _drift(first, mid) != _drift(mid, state):
             return False
         kept = min(_periods_kept(self.network, tables[p], tables[p + q]) for p in range(q))
         if kept <= 2:  # the first two periods are stepped anyway
             return False
-        self.orbit = _Orbit(state, q, drift, first.round + kept * q)
+        drifts = tuple(_drift(tables[p], tables[p + q]) for p in range(q))
+        self.orbit = _Orbit(tuple(tables[q:-1]), drifts, first.round + kept * q)
         self._windows.append((first.round, q, self.orbit.end))
         return True
 
     def _land(self, target: int) -> None:
-        """Move along the orbit to its last round at or before ``target``
-        (and its end) a whole number of periods from its start.  At the
-        end the orbit is left and the search starts over."""
+        """Build the orbit's table at ``target``, or at its end if that
+        comes first; at the end the orbit is left and the search starts
+        over."""
         orbit = self.orbit
-        last = target
-        if target >= orbit.end:
-            last = orbit.end
+        last = min(target, orbit.end)
+        if last > self.state.round:
+            self._built(orbit.table(last))
+        if last == orbit.end:
             self.orbit = None
-        periods = (last - orbit.start.round) // orbit.period
-        if orbit.start.round + periods * orbit.period > self.state.round:
-            self._built(orbit.table(periods))
-        if self.orbit is None:
             self._search_from(self.state)
 
     def advance(self, target: int, limit: Extended = POS_INF) -> MessageState:

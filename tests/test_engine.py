@@ -606,11 +606,11 @@ def _drift_cases():
 
 
 def test_drift_orbits_equal_literal_tables_at_every_round():
-    # asked for every round in turn, the driver lands on each phase-0 round
-    # of every certified window and steps the rest: each table must be the
-    # literal one up to one constant per message, and the gap test read off
-    # its messages must equal the one read off the literal beliefs, as must
-    # the piece totals
+    # asked for every round in turn, the driver builds each round of every
+    # certified window from the stepped table of its phase: each table must
+    # be the literal one up to one constant per message, and the gap test
+    # read off its messages must equal the one read off the literal
+    # beliefs, as must the piece totals
     for name, net, rounds in _drift_cases():
         tables = literal_tables(net, rounds)
         driver = _Rounds(net)
@@ -621,9 +621,19 @@ def test_drift_orbits_equal_literal_tables_at_every_round():
             assert same_modulo_constants(fast, lit), (name, r)
             assert gap_test(net, fast, threshold) == literal_gap_test(net, lit, threshold), (name, r)
             assert driver.piece_total(r) == sum(m.piece_count for m in lit.messages.values())
-        # each ends on a certified orbit
+        # each ends on a certified orbit, and no round inside one is stepped:
+        # asking for every round executes as many as asking for the last
         assert driver.orbit is not None, name
         assert driver.executed < rounds, name
+        once = _Rounds(net)
+        once.advance(rounds)
+        assert driver.executed == once.executed, name
+        # so does a run whose patience never fires, with the literal answer
+        patient = run(net, rounds=rounds, patience=10**9)
+        literal = run(net, rounds=rounds, on_round=lambda *_: None)
+        assert patient.assignment.flows == literal.assignment.flows, name
+        assert patient.assignment.ties == literal.assignment.ties, name
+        assert patient.piece_totals == literal.piece_totals, name
 
 
 def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
@@ -635,8 +645,8 @@ def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
     assert driver._windows[0] == (11, 6, 347)
     assert len(driver._windows) >= 3 and driver._windows[-1][2] == POS_INF
     assert driver.executed <= 75
-    # asked for every round in turn, the driver lands on each phase-0 round
-    # and steps the rest: every table is the literal one up to constants
+    # asked for every round in turn, the driver builds each one inside an
+    # orbit: every table is the literal one up to constants
     driver, lit = _Rounds(net), init_messages(net)
     for r in range(1, 1025):
         lit = update_round(net, lit)
@@ -695,9 +705,6 @@ def test_search_window_never_outgrows_the_rounds_stepped_since_it_started():
 # the window search must not execute more on any seed
 _N20_RUN_ROUNDS = (24, 25, 26, 32, 29, 60, 13, 31)
 _N20_UNIQUENESS_ROUNDS = (24, 25, 26, 32, 29, 60, 13, 29)
-# and, as counted when the search lost its tilt test, with every round
-# asked for in turn (a patience that never fires)
-_N20_PATIENCE_ROUNDS = (23, 629, 25, 591, 27, 688, 12, 477)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -705,7 +712,9 @@ def test_n20_long_runs_execute_no_more_rounds_than_the_earlier_search(seed):
     net = random_network(seed, n=20, m=40)
     assert run(net).executed_rounds <= _N20_RUN_ROUNDS[seed]
     assert detect_uniqueness(net).executed_rounds <= _N20_UNIQUENESS_ROUNDS[seed]
-    assert run(net, patience=10**9).executed_rounds <= _N20_PATIENCE_ROUNDS[seed]
+    # asked for every round in turn (a patience that never fires), the
+    # driver steps no round inside an orbit
+    assert run(net, patience=10**9).executed_rounds == run(net).executed_rounds
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -743,3 +752,5 @@ def test_unique_n20_instances_run_in_under_100_rounds(monkeypatch, capsys, tmp_p
 def test_run_rejects_nonpositive_rounds(rounds):
     with pytest.raises(ValueError, match="rounds must be at least 1"):
         run(t1_network(), rounds=rounds)
+    with pytest.raises(ValueError, match="patience must be at least 1"):
+        run(t1_network(), patience=rounds)
