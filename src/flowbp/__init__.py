@@ -50,7 +50,6 @@ from .flowmodel import (
     network_to_json_dict,
     parse_dimacs,
     preprocess_degree,
-    split_node_capacities,
 )
 from .pwl import PwlConvex, inf_convolve2, scaled_interpolation
 
@@ -122,7 +121,6 @@ __all__ = [
     "random_network",
     "run",
     "scaled_interpolation",
-    "split_node_capacities",
     "tree_solve",
     "update_round",
 ]

@@ -222,17 +222,6 @@ class RunResult(NamedTuple):
     piece_totals: list[int]
 
 
-def _merged_assignment(
-    network: FlowNetwork,
-    fixed: dict[int, int],
-    flows: dict[int, int],
-    ties: tuple[int, ...],
-) -> FlowAssignment:
-    """The reduced network's ``flows`` and ``ties`` with the forced flows
-    merged back in, packaged on the whole network."""
-    return make_assignment(network, {**fixed, **flows}, ties)
-
-
 def run(
     network: FlowNetwork,
     rounds: Optional[int] = None,
@@ -263,7 +252,7 @@ def run(
     reduced, fixed = preprocess_degree(network)
     reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, fixed, {}, ())
+        assignment = make_assignment(network, fixed)
         if not assignment.feasible:
             raise InfeasibleFlowError("forced flows are not feasible")
         return RunResult(assignment, None, 0, 0, [])
@@ -283,7 +272,8 @@ def run(
                     break
             else:
                 last_flows, streak = flows, 0
-    assignment = _merged_assignment(network, fixed, *_minimizers(read))
+    flows, ties = _minimizers(read)
+    assignment = make_assignment(network, {**fixed, **flows}, ties)
     piece_totals = [driver.piece_total(r) for r in range(1, last + 1)]
     return RunResult(assignment, driver.state, total, driver.executed, piece_totals)
 
@@ -579,10 +569,10 @@ def detect_uniqueness(network: FlowNetwork) -> UniquenessResult:
     reduced, fixed = preprocess_degree(network)
     reduced = cap_negative_uncapacitated(reduced)
     if reduced.m == 0:
-        assignment = _merged_assignment(network, fixed, {}, ())
+        assignment = make_assignment(network, fixed)
         return UniquenessResult(True, assignment, 0, 0)
     total = iteration_bound(reduced, "uniqueness")
     driver = _Rounds(reduced)
     unique, flows, ties = gap_test(reduced, driver.advance(total), reduced.n * reduced.c_max)
-    assignment = _merged_assignment(network, fixed, flows, ties) if unique else None
+    assignment = make_assignment(network, {**fixed, **flows}, ties) if unique else None
     return UniquenessResult(unique, assignment, total, driver.executed)

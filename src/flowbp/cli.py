@@ -83,15 +83,12 @@ def _round_count(text: str):
     return text if text == "auto" else _positive_int(text)
 
 
-def load_instance(path: str, fmt: str = "auto") -> FlowNetwork:
+def load_instance(path: str) -> FlowNetwork:
+    """Read a JSON instance (a ``.json`` name or text opening with ``{``),
+    else a DIMACS one."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "auto":
-        if path.endswith(".json") or text.lstrip().startswith("{"):
-            fmt = "json"
-        else:
-            fmt = "dimacs"
-    if fmt == "json":
+    if path.endswith(".json") or text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError:
@@ -135,7 +132,7 @@ def _base_report(mode: str, net: FlowNetwork) -> dict:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    net = load_instance(args.input, args.format)
+    net = load_instance(args.input)
     check_solvable(net)  # raises on infeasible and unbounded instances
     rounds = None if args.iters == "auto" else args.iters
     dump_file = open(args.dump_messages, "w", encoding="utf-8") if args.dump_messages else None
@@ -169,7 +166,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check_unique(args) -> int:
     t0 = time.perf_counter()
-    net = load_instance(args.input, args.format)
+    net = load_instance(args.input)
     check_solvable(net)
     res = bp_engine.detect_uniqueness(net)
     report = _base_report("check-unique", net)
@@ -193,7 +190,7 @@ def cmd_approx(args) -> int:
     from . import fpras
 
     t0 = time.perf_counter()
-    net = load_instance(args.input, args.format)
+    net = load_instance(args.input)
     check_solvable(net)
     try:
         eps = Fraction(args.epsilon)
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(sp):
         sp.add_argument("--input", required=True, help="instance file (DIMACS or JSON)")
-        sp.add_argument("--format", choices=("auto", "dimacs", "json"), default="auto")
         sp.add_argument("--threads", type=_positive_int, default=1,
                         help="accepted for compatibility and ignored; rounds run single-threaded")
 

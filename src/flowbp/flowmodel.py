@@ -1,17 +1,15 @@
 """Network data model: instances, validation, DIMACS and JSON ingestion,
 degree-1 preprocessing, the residual-cycle certificate, the solvability
-gate, the exact min-cost-flow solver, iteration bounds, and the
-node-capacity splitting reduction.
+gate, the exact min-cost-flow solver and iteration bounds.
 
 Everything here is plain integer code with no third-party imports.  An
 instance is validated once, where it enters the program: the parsers,
-:meth:`FlowNetwork.from_data`, ``FlowNetwork(...)`` and
-:func:`split_node_capacities` check everything, and the integer-cost
-shorthand :func:`linear_cost` is built on the trusted path once its slope
-and capacity are plain integers.  Networks derived from a validated one
-(:func:`preprocess_degree`, :func:`cap_negative_uncapacitated` and the
-(1+eps) scheme's perturbation and arc fixing) keep every invariant, so
-they are only indexed.
+:meth:`FlowNetwork.from_data` and ``FlowNetwork(...)`` check everything,
+and the integer-cost shorthand :func:`linear_cost` is built on the trusted
+path once its slope and capacity are plain integers.  Networks derived
+from a validated one (:func:`preprocess_degree`,
+:func:`cap_negative_uncapacitated` and the (1+eps) scheme's perturbation
+and arc fixing) keep every invariant, so they are only indexed.
 
 The certificate :func:`min_cycle_cost` is the cheapest genuine residual
 cycle at a flow, returned as an extended integer (an int, ``-inf`` or
@@ -869,53 +867,3 @@ def iteration_bound(network: FlowNetwork, mode: str) -> int:
     if mode == "convergence":
         return ((n - 1) * c // 2 + 1) * n
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Node-capacity splitting
-
-
-class SplitResult(NamedTuple):
-    """Outcome of the node-capacity splitting reduction.
-
-    ``network`` is the ordinary min-cost-flow instance; original arc ids
-    are preserved (so an optimal flow projects back by simply restricting
-    to them), ``node_map`` sends each original node to its (in, out) pair,
-    and ``bridge_arcs`` maps each original node to its bridge arc id.
-    """
-
-    network: FlowNetwork
-    node_map: dict[int, tuple[int, int]]
-    bridge_arcs: dict[int, int]
-
-
-def split_node_capacities(
-    network: FlowNetwork, inflow_caps: Mapping[int, Capacity]
-) -> SplitResult:
-    """Reduce per-node inflow caps to plain arc capacities.
-
-    Every node ``v`` becomes ``v_in`` (demand 0, receiving all in-arcs) and
-    ``v_out`` (demand ``f_v``, emitting all out-arcs), joined by a zero-cost
-    bridge arc of capacity ``inflow_caps[v]``.  Solving the result and
-    restricting to original arc ids solves the node-capacitated problem.
-    """
-    node_map: dict[int, tuple[int, int]] = {}
-    demands: dict[int, int] = {}
-    nxt = 1
-    for v in sorted(network.demands):
-        node_map[v] = (nxt, nxt + 1)
-        demands[nxt] = 0
-        demands[nxt + 1] = network.demands[v]
-        nxt += 2
-    arcs = []
-    for a in network.arcs:
-        arcs.append(Arc(a.id, node_map[a.tail][1], node_map[a.head][0], a.capacity, a.cost))
-    bridge_ids: dict[int, int] = {}
-    next_id = max((a.id for a in network.arcs), default=0) + 1
-    for v in sorted(network.demands):
-        cap = inflow_caps.get(v, UNBOUNDED)
-        vin, vout = node_map[v]
-        arcs.append(Arc(next_id, vin, vout, cap, linear_cost(0, cap)))
-        bridge_ids[v] = next_id
-        next_id += 1
-    return SplitResult(FlowNetwork(demands, arcs), node_map, bridge_ids)

@@ -292,12 +292,7 @@ class AprxmtResult(NamedTuple):
     executed_rounds: int
 
 
-def aprxmt(
-    network: FlowNetwork,
-    eps,
-    seed: SeedLike,
-    restart_budget: int = RESTART_BUDGET,
-) -> AprxmtResult:
+def aprxmt(network: FlowNetwork, eps, seed: SeedLike) -> AprxmtResult:
     """Perturb, solve, certify uniqueness; redraw until certain.
 
     Each attempt draws fresh noise from its own sub-stream and applies the
@@ -308,7 +303,7 @@ def aprxmt(
     raises.
     """
     eps = _as_fraction(eps)
-    for attempt in range(restart_budget):
+    for attempt in range(RESTART_BUDGET):
         pert = perturb_costs(network, eps, _seed_seq(seed, (attempt,)))
         pn = pert.network
         rounds = 2 * pn.c_max * pn.n * pn.n
@@ -318,9 +313,7 @@ def aprxmt(
             if not out.feasible:
                 raise ResultCheckError("the certified perturbed optimum is infeasible")
             return AprxmtResult(out, pert, attempt, rounds, executed)
-    raise RestartBudgetExceededError(
-        f"no unique perturbed optimum in {restart_budget} draws"
-    )
+    raise RestartBudgetExceededError(f"no unique perturbed optimum in {RESTART_BUDGET} draws")
 
 
 def fix_arc(network: FlowNetwork, arc_id: int, value: int) -> FlowNetwork:
@@ -370,12 +363,7 @@ class ApproxResult(NamedTuple):
     rounds: list[DecimationRound]
 
 
-def approx_scheme(
-    network: FlowNetwork,
-    eps,
-    seed: SeedLike,
-    restart_budget: int = RESTART_BUDGET,
-) -> ApproxResult:
+def approx_scheme(network: FlowNetwork, eps, seed: SeedLike) -> ApproxResult:
     """The full decimation loop: (1+eps)-approximation for any feasible
     instance with linear non-negative integer costs.
 
@@ -401,7 +389,7 @@ def approx_scheme(
         if reduced.c_max == 0:
             fixed_total.update(min_cost_flow(reduced))
             break
-        res = aprxmt(reduced, eps, _seed_seq(seed, (index,)), restart_budget=restart_budget)
+        res = aprxmt(reduced, eps, _seed_seq(seed, (index,)))
         target = max(reduced.arcs, key=lambda a: (reduced.linear_slope(a), -a.id))
         value = res.assignment.flows[target.id]
         fixed_total[target.id] = value

@@ -15,6 +15,9 @@ from .flowmodel import FlowNetwork
 from .oracles import exact_solve, is_unique_optimum
 from .pwl import PwlConvex
 
+#: Draws ``random_network`` makes before giving up on its constraints.
+MAX_TRIES = 2000
+
 
 def _random_topology(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
     """A weakly connected random digraph on nodes 1..n with m arcs."""
@@ -53,7 +56,6 @@ def random_network(
     cost_pieces: int = 1,
     ensure_unique: bool = False,
     ensure_multiple: bool = False,
-    max_tries: int = 2000,
 ) -> FlowNetwork:
     """A random feasible instance on nodes 1..n with m arcs.
 
@@ -66,7 +68,7 @@ def random_network(
         raise ValueError(f"{m} arcs need at least 2 nodes, got {n}")
     if ensure_unique and ensure_multiple:
         raise ValueError("ensure_unique and ensure_multiple are mutually exclusive")
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         rng = random.Random(seed * 1_000_003 + attempt)
         ends = _random_topology(rng, n, m)
         specs = []
@@ -85,10 +87,10 @@ def random_network(
         unique = is_unique_optimum(net, exact_solve(net))
         if unique == ensure_unique:
             return net
-    raise GenerationBudgetError(f"no instance matching the constraints in {max_tries} tries")
+    raise GenerationBudgetError(f"no instance matching the constraints in {MAX_TRIES} tries")
 
 
-def hard_instance(d: int, cap: int = 2) -> FlowNetwork:
+def hard_instance(d: int) -> FlowNetwork:
     """The three-node family on which the solver needs ~d/3 rounds.
 
     A unit of supply at node 1 must reach node 3 either over the two-arc
@@ -99,5 +101,5 @@ def hard_instance(d: int, cap: int = 2) -> FlowNetwork:
     """
     return FlowNetwork.from_data(
         {1: 1, 2: 0, 3: -1},
-        [(1, 1, 2, cap, d), (2, 2, 3, cap, d), (3, 1, 3, cap, 2 * d - 1)],
+        [(1, 1, 2, 2, d), (2, 2, 3, 2, d), (3, 1, 3, 2, 2 * d - 1)],
     )

@@ -62,21 +62,19 @@ def exact_solve(network: FlowNetwork) -> FlowAssignment:
 # Exhaustive enumeration
 
 
-def enumerate_integral_flows(
-    network: FlowNetwork, budget: int = ENUM_BUDGET
-) -> list[FlowAssignment]:
+def enumerate_integral_flows(network: FlowNetwork) -> list[FlowAssignment]:
     """All feasible integral flows, cheapest first.
 
     Brute force with early conservation pruning; the product of
-    ``capacity + 1`` over all arcs must stay within ``budget``.
+    ``capacity + 1`` over all arcs must stay within ``ENUM_BUDGET``.
     """
     size = 1
     for a in network.arcs:
         if a.capacity is None:
             raise BudgetExceededError("enumeration needs finite capacities")
         size *= a.capacity + 1
-        if size > budget:
-            raise BudgetExceededError(f"search space exceeds budget {budget}")
+        if size > ENUM_BUDGET:
+            raise BudgetExceededError(f"search space exceeds budget {ENUM_BUDGET}")
     arcs = list(network.arcs)
     last_touch: dict[int, int] = {}
     for i, a in enumerate(arcs):
@@ -177,10 +175,9 @@ class ComputationTree(NamedTuple):
         return vertex.level < self.depth
 
 
-def build_tree(
-    network: FlowNetwork, arc_id: int, depth: int, max_vertices: int = TREE_BUDGET
-) -> ComputationTree:
-    """Construct the computation tree of ``arc_id`` to the given depth."""
+def build_tree(network: FlowNetwork, arc_id: int, depth: int) -> ComputationTree:
+    """Construct the computation tree of ``arc_id`` to the given depth, of
+    at most ``TREE_BUDGET`` vertices."""
     root = network.arc_by_id[arc_id]
     vertices = [
         TreeVertex(0, root.tail, 1, 0, 0),
@@ -198,8 +195,8 @@ def build_tree(
                 child = TreeVertex(len(vertices), a.head if delta == 1 else a.tail,
                                    u.id, len(arcs), level)
                 vertices.append(child)
-                if len(vertices) > max_vertices:
-                    raise SizeBudgetError(f"computation tree exceeds {max_vertices} vertices")
+                if len(vertices) > TREE_BUDGET:
+                    raise SizeBudgetError(f"computation tree exceeds {TREE_BUDGET} vertices")
                 if delta == 1:
                     arcs.append(TreeArc(len(arcs), a.id, u.id, child.id))
                 else:

@@ -209,11 +209,11 @@ class PwlConvex:
         return cls((x,), (), (x, value))
 
     @classmethod
-    def linear(cls, slope: int, lo: int, hi: Extended, value_at_lo: int = 0) -> "PwlConvex":
-        """``slope * (z - lo) + value_at_lo`` on ``[lo, hi]`` (``hi`` may be inf)."""
+    def linear(cls, slope: int, lo: int, hi: Extended) -> "PwlConvex":
+        """``slope * (z - lo)`` on ``[lo, hi]`` (``hi`` may be inf)."""
         if hi == lo:
-            return cls.point(lo, value_at_lo)
-        return cls((lo, hi), (slope,), (lo, value_at_lo))
+            return cls.point(lo, 0)
+        return cls((lo, hi), (slope,), (lo, 0))
 
     # -- basic queries -------------------------------------------------------
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from flowbp import cli, pwl, selftest
-from flowbp.flowmodel import network_to_json_dict, parse_dimacs
+from flowbp import cli, fpras, pwl, selftest
+from flowbp.flowmodel import emit_dimacs, network_to_json_dict, parse_dimacs
 from flowbp.gen import random_network
 from flowbp.oracles import exact_solve, is_unique_optimum
 from helpers import HANG_NETWORK, t1_network, uncapacitated_network
@@ -258,6 +258,17 @@ def test_approx_bad_epsilon(capsys, t1_file):
     assert code == 1
     code, _ = run_cli(capsys, "approx", "--input", t1_file, "--epsilon", "0", "--seed", "1")
     assert code == 1
+
+
+def test_approx_restart_budget_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(fpras, "RESTART_BUDGET", 0)  # no draw is ever made
+    p = tmp_path / "tie.dimacs"
+    p.write_text(emit_dimacs(t1_network(c3=2)))
+    code = cli.main(["approx", "--input", str(p), "--epsilon", "1/2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESTART_BUDGET == 4
+    assert json.loads(captured.out)["error"]["kind"] == "restart-budget"
+    assert captured.err.startswith("restart budget exceeded: ")
 
 
 def test_approx_seed_env_fallback(capsys, t1_file, monkeypatch):
@@ -636,6 +647,8 @@ def test_package_exports_resolve_on_first_use():
     assert flowbp.oracles is sys.modules["flowbp.oracles"]
     with pytest.raises(AttributeError, match="no attribute 'tree_solve_free'"):
         flowbp.tree_solve_free
+    with pytest.raises(AttributeError, match="no attribute 'split_node_capacities'"):
+        flowbp.split_node_capacities
     with pytest.raises(ImportError):
         exec("from flowbp import no_such_name", {})
 

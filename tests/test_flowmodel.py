@@ -18,7 +18,6 @@ from flowbp.errors import (
     SelfLoopError,
 )
 from flowbp.flowmodel import (
-    objective_value,
     Arc,
     FlowNetwork,
     UNBOUNDED,
@@ -30,7 +29,6 @@ from flowbp.flowmodel import (
     network_to_json_dict,
     parse_dimacs,
     preprocess_degree,
-    split_node_capacities,
 )
 from flowbp.fpras import approx_scheme
 from flowbp.gen import random_network
@@ -258,83 +256,6 @@ def test_iteration_bounds():
     assert iteration_bound(net, "convergence") == 12
     lonely = FlowNetwork({7: 0}, [])
     assert iteration_bound(lonely, "uniqueness") == lonely.c_max + 1
-
-
-def test_split_node_capacities_structure():
-    net = t1_network()
-    split = split_node_capacities(net, {3: 1})
-    assert split.network.n == 6
-    assert split.network.m == 6
-    vin, vout = split.node_map[3]
-    bridge = split.network.arc_by_id[split.bridge_arcs[3]]
-    assert (bridge.tail, bridge.head) == (vin, vout)
-    assert bridge.capacity == 1
-    assert bridge.cost.slopes in ((), (0,))
-    # demands move to the out-copy
-    assert split.network.demands[vin] == 0
-    assert split.network.demands[vout] == -1
-
-
-def test_split_unbounded_caps_vacuous():
-    net = t1_network()
-    split = split_node_capacities(net, {})
-    for v, aid in split.bridge_arcs.items():
-        assert split.network.arc_by_id[aid].capacity is UNBOUNDED
-
-
-def _inflow_ok(net, flows, caps):
-    for v in net.demands:
-        inflow = sum(flows.get(a.id, 0) for a, d in net.incident[v] if d == -1)
-        cap = caps.get(v)
-        if cap is not None and inflow > cap:
-            return False
-    return True
-
-
-def test_split_round_trip_matches_direct_enumeration():
-    # projecting the split network's optimum solves the node-capacitated
-    # problem: cross-check against filtering the brute-force flow list
-    from flowbp.gen import random_network
-    from flowbp.oracles import enumerate_integral_flows, exact_solve
-    from flowbp.errors import InfeasibleInstanceError
-    import random
-
-    for seed in range(20):
-        rng = random.Random(seed)
-        net = random_network(seed + 500_000, n=4, m=5, c_max=3, cap_max=2)
-        caps = {v: rng.choice([None, 0, 1, 2, 3]) for v in net.demands}
-        split = split_node_capacities(net, caps)
-        admissible = [
-            fa for fa in enumerate_integral_flows(net) if _inflow_ok(net, fa.flows, caps)
-        ]
-        try:
-            sol = exact_solve(split.network)
-        except InfeasibleInstanceError:
-            assert not admissible
-            continue
-        assert admissible, "split network feasible but direct filter empty"
-        projected = {a.id: sol.flows[a.id] for a in net.arcs}
-        assert _inflow_ok(net, projected, caps)
-        assert objective_value(net, projected) == sol.objective
-        assert sol.objective == admissible[0].objective
-
-
-def test_split_zero_inflow_cap_infeasible():
-    from flowbp.oracles import exact_solve
-    from flowbp.errors import InfeasibleInstanceError
-    import pytest as _pytest
-
-    split = split_node_capacities(t1_network(), {3: 0})
-    with _pytest.raises(InfeasibleInstanceError):
-        exact_solve(split.network)
-
-
-def test_split_unbounded_caps_preserve_optimum():
-    from flowbp.oracles import exact_solve
-
-    net = t1_network()
-    split = split_node_capacities(net, {})
-    assert exact_solve(split.network).objective == exact_solve(net).objective
 
 
 # ---------------------------------------------------------------------------

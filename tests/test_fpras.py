@@ -219,11 +219,12 @@ def test_aprxmt_restarts_on_unlucky_draw():
     pytest.fail("no seed with a non-unique first draw in 200 tries")
 
 
-def test_aprxmt_restart_budget():
+def test_aprxmt_restart_budget(monkeypatch):
     net = t1_network(c3=2)
+    monkeypatch.setattr(fpras, "RESTART_BUDGET", 0)
     with pytest.raises(RestartBudgetExceededError):
         # budget zero can never succeed
-        aprxmt(net, Fraction(1, 2), seed=0, restart_budget=0)
+        aprxmt(net, Fraction(1, 2), seed=0)
 
 
 def test_fix_arc_bookkeeping():

@@ -550,10 +550,11 @@ def test_build_tree_parallel_arcs_expand():
     assert all(tree.arcs[v.parent_arc].orig == 2 for v in tree.vertices if v.level == 1)
 
 
-def test_build_tree_budget():
+def test_build_tree_budget(monkeypatch):
     net = random_network(3, n=5, m=10, c_max=2, cap_max=2)
+    monkeypatch.setattr(oracles, "TREE_BUDGET", 100)
     with pytest.raises(SizeBudgetError):
-        build_tree(net, 1, 30, max_vertices=100)
+        build_tree(net, 1, 30)
 
 
 def test_tree_growth_monotone_and_degrees():
