@@ -5,9 +5,13 @@ instance), ``check-unique`` (uniqueness detection from final beliefs),
 ``approx`` (randomized (1+eps)-approximation), ``gen`` (random instance
 generation) and ``selftest`` (built-in oracle-equivalence suites).
 
-Reports are JSON on stdout, errors on stderr.  Exit codes: 0 success,
-2 infeasible instance, 3 parse error, 4 restart budget exhausted,
-1 anything else (including usage errors).
+A report is one JSON object on stdout.  An error writes a JSON error
+object to stdout and one line to stderr (a command line that argparse
+rejects prints its usage and an ``error:`` line to stderr alone).  Exit
+codes: 0 success, 2 infeasible instance, 3 parse error, 4 restart budget
+exhausted, 1 anything else (including usage errors, and a failed write of
+stdout itself, a full disk or a pipe whose reader has gone, after which
+one ``error:`` line on stderr is all the run writes).
 """
 
 from __future__ import annotations
@@ -47,15 +51,19 @@ EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_RESTART_BUDGET = 4
 
-_PARSE_ERRORS = (
-    DimacsSyntaxError,
-    DimacsInconsistentError,
-    NonZeroLowerBoundError,
-    JsonInstanceError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
+#: Error families in the order ``main`` tries them, each with its exit code,
+#: the ``kind`` of the JSON error object and the label of the stderr line.
+_ERRORS = (
+    ((DimacsSyntaxError, DimacsInconsistentError, NonZeroLowerBoundError, JsonInstanceError,
+      json.JSONDecodeError, UnicodeDecodeError),
+     EXIT_PARSE, "parse", "parse error"),
+    ((InfeasibleInstanceError, ForcedInfeasibleError),
+     EXIT_INFEASIBLE, "infeasible", "infeasible"),
+    (RestartBudgetExceededError,
+     EXIT_RESTART_BUDGET, "restart-budget", "restart budget exceeded"),
+    ((FlowBpError, OSError, ValueError),
+     EXIT_OTHER, "other", "error"),
 )
-_INFEASIBLE_ERRORS = (InfeasibleInstanceError, ForcedInfeasibleError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,16 +109,8 @@ def load_instance(path: str) -> FlowNetwork:
     return parse_dimacs(text)
 
 
-def _instance_summary(net: FlowNetwork) -> dict:
-    return {"n": net.n, "m": net.m, "c_max": net.c_max}
-
-
 def _flow_dict(flows: dict[int, int]) -> dict:
     return {str(aid): int(x) for aid, x in sorted(flows.items())}
-
-
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
 
 
 def _seed_from(args) -> int:
@@ -122,18 +122,30 @@ def _seed_from(args) -> int:
     return 0
 
 
-def _base_report(mode: str, net: FlowNetwork) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "mode": mode,
-        "instance": _instance_summary(net),
-    }
+def _solver(fields):
+    """Frame of a solver command, whose ``fields(args, net)`` gives only its
+    mode's report fields: load the instance, check that it has an optimum,
+    time the call and print the report."""
+
+    def command(args) -> int:
+        t0 = time.perf_counter()
+        net = load_instance(args.input)
+        check_solvable(net)  # raises on infeasible and unbounded instances
+        report = fields(args, net)
+        report.update(
+            schema=REPORT_SCHEMA,
+            mode=args.command,
+            instance={"n": net.n, "m": net.m, "c_max": net.c_max},
+            wall_time_s=round(time.perf_counter() - t0, 6),
+        )
+        print(json.dumps(report, sort_keys=True, indent=2))
+        return EXIT_OK
+
+    return command
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    net = load_instance(args.input)
-    check_solvable(net)  # raises on infeasible and unbounded instances
+@_solver
+def cmd_solve(args, net: FlowNetwork) -> dict:
     rounds = None if args.iters == "auto" else args.iters
     dump_file = open(args.dump_messages, "w", encoding="utf-8") if args.dump_messages else None
     on_round = None
@@ -146,8 +158,7 @@ def cmd_solve(args) -> int:
     finally:
         if dump_file is not None:
             dump_file.close()
-    report = _base_report("solve", net)
-    report.update(
+    return dict(
         rounds_used=result.rounds_used,
         executed_rounds=result.executed_rounds,
         flow=_flow_dict(result.assignment.flows),
@@ -158,40 +169,29 @@ def cmd_solve(args) -> int:
             "per_round_total": result.piece_totals,
             "max_round_total": max(result.piece_totals, default=0),
         },
-        wall_time_s=round(time.perf_counter() - t0, 6),
     )
-    _emit(report)
-    return EXIT_OK
 
 
-def cmd_check_unique(args) -> int:
-    t0 = time.perf_counter()
-    net = load_instance(args.input)
-    check_solvable(net)
+@_solver
+def cmd_check_unique(args, net: FlowNetwork) -> dict:
     res = bp_engine.detect_uniqueness(net)
-    report = _base_report("check-unique", net)
-    report.update(
-        rounds_used=res.rounds_used,
-        executed_rounds=res.executed_rounds,
-        unique=res.unique,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-    )
+    fields = dict(rounds_used=res.rounds_used, executed_rounds=res.executed_rounds,
+                  unique=res.unique)
     if res.unique:
-        report["flow"] = _flow_dict(res.assignment.flows)
-        report["objective"] = res.assignment.objective
-        report["feasible"] = res.assignment.feasible
-    _emit(report)
-    return EXIT_OK
+        fields.update(
+            flow=_flow_dict(res.assignment.flows),
+            objective=res.assignment.objective,
+            feasible=res.assignment.feasible,
+        )
+    return fields
 
 
-def cmd_approx(args) -> int:
+@_solver
+def cmd_approx(args, net: FlowNetwork) -> dict:
     from fractions import Fraction
 
     from . import fpras
 
-    t0 = time.perf_counter()
-    net = load_instance(args.input)
-    check_solvable(net)
     try:
         eps = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError) as exc:
@@ -200,18 +200,14 @@ def cmd_approx(args) -> int:
         raise UsageError("epsilon must lie strictly between 0 and 1")
     seed = _seed_from(args)
     res = fpras.approx_scheme(net, eps, seed)
-    report = _base_report("approx", net)
-    report.update(
+    return dict(
         epsilon=str(eps),
         seed=seed,
         flow=_flow_dict(res.assignment.flows),
         objective=res.assignment.objective,
         feasible=res.assignment.feasible,
         decimation=[r.to_json_dict() for r in res.rounds],
-        wall_time_s=round(time.perf_counter() - t0, 6),
     )
-    _emit(report)
-    return EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -315,23 +311,28 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(json.dumps({"error": {"kind": "parse", "detail": str(exc)}}), file=sys.stdout)
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _INFEASIBLE_ERRORS as exc:
-        print(json.dumps({"error": {"kind": "infeasible", "detail": str(exc)}}))
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RestartBudgetExceededError as exc:
-        print(json.dumps({"error": {"kind": "restart-budget", "detail": str(exc)}}))
-        print(f"restart budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESTART_BUDGET
-    except (UsageError, FlowBpError, OSError, ValueError) as exc:
-        print(json.dumps({"error": {"kind": "other", "detail": str(exc)}}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        code = args.func(args)
+        # a failed write raises here, not at shutdown; print, unlike
+        # sys.stdout.flush, also takes a closed stdout (None)
+        print(end="", flush=True)
+        return code
+    except Exception as exc:
+        for family, code, kind, label in _ERRORS:
+            if isinstance(exc, family):
+                break
+        else:
+            raise
+        try:
+            print(json.dumps({"error": {"kind": kind, "detail": str(exc)}}), flush=True)
+        except OSError as write_error:
+            # stdout itself fails: the stderr line is all that gets out, and
+            # what is still buffered for stdout goes to the null device
+            # instead of failing again at shutdown
+            code, label, exc = EXIT_OTHER, "error", write_error
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -396,13 +396,17 @@ sys.exit(cli.main(["selftest", "--quick"]))
 """
 
 
+def _env() -> dict:
+    """This environment with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _python(*args, timeout):
     """Run a fresh interpreter with this checkout's ``src`` on the path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, *args], capture_output=True, text=True, env=_env(), timeout=timeout
     )
 
 
@@ -717,3 +721,57 @@ def test_negative_capacity_error_names_the_arc(capsys, tmp_path, suffix):
         assert code == cli.EXIT_OTHER
         assert report == {"error": {
             "kind": "other", "detail": "arc 2 capacity -3 is not a non-negative integer"}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "MISSING"],
+        ["check-unique", "--input", "MISSING"],
+        ["approx", "--epsilon", "1/2", "--input", "MISSING"],
+        ["solve", "--input", "T1", "--dump-messages", "IN_MISSING_DIR"],
+    ],
+)
+def test_file_that_cannot_be_opened_is_other_error(capsys, tmp_path, t1_file, argv):
+    paths = {"MISSING": str(tmp_path / "missing.dimacs"), "T1": t1_file,
+             "IN_MISSING_DIR": str(tmp_path / "no-such-dir" / "dump.jsonl")}
+    code = cli.main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OTHER
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "other"
+    assert error["detail"].startswith("[Errno 2] No such file or directory")
+    assert captured.err.splitlines() == [f"error: {error['detail']}"]
+
+
+_WRITING_COMMANDS = [
+    ["solve", "--input", "T1"],
+    ["check-unique", "--input", "T1"],
+    ["approx", "--epsilon", "1/2", "--input", "T1"],
+    ["gen", "--nodes", "6", "--arcs", "10", "--seed", "1"],
+    ["selftest", "--quick"],
+]
+
+
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("argv", _WRITING_COMMANDS, ids=lambda argv: argv[0])
+def test_failed_stdout_write_exits_1_with_one_stderr_line(t1_file, argv, sink):
+    # a full disk or a pipe with no reader: the report cannot be written, so
+    # the one error line on stderr is all the run may write
+    cmd = [sys.executable, "-c", _CLI, *(t1_file if a == "T1" else a for a in argv)]
+    if sink == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        out = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, out = os.pipe()
+        os.close(read_end)  # no reader from the start, so no write can get through
+    try:
+        proc = subprocess.run(cmd, stdout=out, stderr=subprocess.PIPE, text=True,
+                              env=_env(), timeout=120)
+    finally:
+        os.close(out)
+    err = proc.stderr
+    assert proc.returncode == cli.EXIT_OTHER, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
