@@ -294,8 +294,8 @@ def dump_round(state: MessageState) -> dict:
 
 
 #: The most tables the orbit search keeps, so that a run certifying no
-#: orbit holds and searches a bounded window; orbits of period up to a
-#: quarter of it stay in reach.
+#: orbit holds and searches a bounded window; orbits of period up to
+#: half of it stay in reach.
 _WINDOW = 64
 
 _BREAKPOINTS = operator.attrgetter("breakpoints")
@@ -388,10 +388,9 @@ class _Rounds:
     through the module-level :func:`update_round`.
 
     Without an ``on_round`` hook, each stepped table is tested against a
-    window of the tables stepped since the search (re)started, whose older
-    half is dropped at every power of two rounds since then and whenever
-    it holds ``_WINDOW`` tables.  The last one with the same breakpoints is
-    ``d`` rounds back.
+    window of the last ``_WINDOW`` tables stepped since the search
+    (re)started.  The last one with the same breakpoints is ``d`` rounds
+    back.
 
     An orbit is tested at each period ``Q`` a multiple of ``d`` with
     ``2Q + 1`` tables in the window, when the fingerprints of the period
@@ -423,10 +422,9 @@ class _Rounds:
         self.orbit: Optional[_Orbit] = None
         self._counts: dict[int, int] = {}  # total message pieces per table built
         self._windows: list[tuple[int, int, Extended]] = []  # (stepped from, period, end)
-        self._search_from(self.state)
+        self._search_from()
 
-    def _search_from(self, state: MessageState) -> None:
-        self._origin = state.round
+    def _search_from(self) -> None:
         # the window, oldest first: consecutive stepped tables, with a hash
         # of each one's breakpoints and its _fingerprint once computed
         self._tables: list[MessageState] = []
@@ -454,10 +452,11 @@ class _Rounds:
         key = hash(tuple(map(_BREAKPOINTS, state.messages.values())))
         # the last table in the window with the same breakpoints is d back
         d = keys[::-1].index(key) + 1 if key in keys else 0
-        t = state.round - self._origin
         tables.append(state)
         keys.append(key)
         prints.append(None)
+        for column in (tables, keys, prints):
+            del column[:-_WINDOW]
         f = self._fingerprint_at
         for q in range(d, (len(tables) + 1) // 2, d) if d else ():
             if (
@@ -466,9 +465,6 @@ class _Rounds:
                 and self._drifting(q)
             ):
                 return
-        if t & (t - 1) == 0 or len(tables) == _WINDOW:
-            for column in (tables, keys, prints):
-                del column[:len(column) // 2]
 
     def _fingerprint_at(self, i: int) -> int:
         """:func:`_fingerprint` of window table ``i``, computed once."""
@@ -486,9 +482,11 @@ class _Rounds:
             return False
         if _drift(first, mid) != _drift(mid, state):
             return False
-        kept = min(_periods_kept(self.network, tables[p], tables[p + q]) for p in range(q))
-        if kept <= 2:  # the first two periods are stepped anyway
-            return False
+        kept: Extended = POS_INF
+        for p in range(q):
+            kept = min(kept, _periods_kept(self.network, tables[p], tables[p + q]))
+            if kept <= 2:  # the first two periods are stepped anyway
+                return False
         drifts = tuple(_drift(tables[p], tables[p + q]) for p in range(q))
         self.orbit = _Orbit(tuple(tables[q:-1]), drifts, first.round + kept * q)
         self._windows.append((first.round, q, self.orbit.end))
@@ -500,11 +498,10 @@ class _Rounds:
         over."""
         orbit = self.orbit
         last = min(target, orbit.end)
-        if last > self.state.round:
-            self._built(orbit.table(last))
+        self._built(orbit.table(last))
         if last == orbit.end:
             self.orbit = None
-            self._search_from(self.state)
+            self._search_from()
 
     def advance(self, target: int, limit: Extended = POS_INF) -> MessageState:
         """The round-``target`` table (``target`` never decreasing), or an

@@ -213,10 +213,6 @@ def cmd_approx(args, net: FlowNetwork) -> dict:
 def cmd_gen(args) -> int:
     from . import gen
 
-    if args.arcs < args.nodes - 1:
-        raise UsageError(f"need at least nodes-1 = {args.nodes - 1} arcs for connectivity")
-    if args.nodes < 2 and args.arcs > 0:
-        raise UsageError(f"{args.arcs} arcs need at least 2 nodes, got {args.nodes}")
     seed = _seed_from(args)
     net = gen.random_network(
         seed,

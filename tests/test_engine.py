@@ -637,14 +637,14 @@ def test_drift_orbits_equal_literal_tables_at_every_round():
 
 
 def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
-    # K = 56 periods of 6 from round 11: exact through round 347, where a
+    # K = 56 periods of 6 from round 9: exact through round 345, where a
     # slope order changes; the driver steps past it and certifies again
     net = _first_draw_of_slow_approx()
     driver = _Rounds(net)
     driver.advance(1024)
-    assert driver._windows[0] == (11, 6, 347)
+    assert driver._windows[0] == (9, 6, 345)
     assert len(driver._windows) >= 3 and driver._windows[-1][2] == POS_INF
-    assert driver.executed <= 75
+    assert driver.executed <= 60
     # asked for every round in turn, the driver builds each one inside an
     # orbit: every table is the literal one up to constants
     driver, lit = _Rounds(net), init_messages(net)
@@ -652,7 +652,7 @@ def test_drift_orbit_jumps_to_its_certified_end_on_the_slow_approx_draw():
         lit = update_round(net, lit)
         driver.advance(r)
         assert same_modulo_constants(driver.state, lit), r
-    assert driver._windows[0] == (11, 6, 347)
+    assert driver._windows[0] == (9, 6, 345)
 
 
 def test_drift_orbit_whose_one_round_drifts_never_repeat_is_certified():
@@ -678,26 +678,41 @@ def test_search_window_never_outgrows_the_rounds_stepped_since_it_started():
     restarts = 0
 
     class Watched(_Rounds):
+        def _search_from(self):
+            super()._search_from()
+            self.restarted = self.state.round
+
         def _search(self):
             super()._search()
-            stepped = self.state.round - self._origin
-            assert len(self._tables) <= min(stepped, bp_engine._WINDOW), name
+            stepped = self.state.round - self.restarted
+            assert len(self._tables) == min(stepped, bp_engine._WINDOW), name
 
     for name, net, rounds in _drift_cases():
         driver = Watched(net)
         for r in range(1, rounds + 1):
             driver.advance(r)
         restarts += len(driver._windows) - 1
-    assert restarts >= 1  # the slow draw leaves its first drift orbit at round 347
+    assert restarts >= 1  # the slow draw leaves its first drift orbit at round 345
 
-    class Blind(Watched):  # certifies nothing, so the window fills up
+    class Blind(Watched):  # certifies nothing, so the window fills up and slides
         def _drifting(self, q):
             return False
 
     name = "blind"
     driver = Blind(_first_draw_of_slow_approx())
     driver.advance(3 * bp_engine._WINDOW)
-    assert driver.orbit is None and len(driver._tables) > bp_engine._WINDOW // 2
+    assert driver.orbit is None and len(driver._tables) == bp_engine._WINDOW
+
+
+@pytest.mark.parametrize("d", [6, 12, 30])
+def test_near_tie_family_certifies_its_orbit_in_nine_rounds(d):
+    # from round 3 on, every 3 rounds tilt each message by a fixed amount,
+    # an orbit with no end: it is certified at round 9, the first round
+    # whose window holds two periods after round 3
+    net = hard_instance(d)
+    assert run(net).executed_rounds == 9
+    assert run(net, patience=10**9).executed_rounds == 9
+    assert detect_uniqueness(net).executed_rounds == 9
 
 
 # rounds executed on random_network(seed, n=20, m=40), seeds 0..7, by the
